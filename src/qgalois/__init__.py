@@ -9,6 +9,7 @@ from .cyclotomic import CycScalar, Rational, cyclotomic_polynomial, q_factorial,
 from .galois import (
     CarrierAlgebra,
     ExtElement,
+    KForm,
     NonInvertibleCoordinate,
     NotInvertible,
     change_of_variable,
@@ -21,7 +22,6 @@ from .galois import (
 )
 from .calculus import (
     CheckResult,
-    KForm,
     PolyFamilies,
     build_families,
     covariant_operator,
@@ -50,7 +50,6 @@ from .quaternion import (
     ConjugationCarrier,
     from_quaternion,
     linear_decomposition,
-    quaternion_differential,
     second_right_derivative,
     to_quaternion,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "q_factorial",
     "q_integer",
     "q_plane_families",
-    "quaternion_differential",
     "represent",
     "right_derivative",
     "second_right_derivative",

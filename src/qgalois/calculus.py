@@ -26,6 +26,7 @@ from typing import Any, Callable
 from .cyclotomic import CycScalar
 from .galois import (
     CarrierAlgebra,
+    KForm,
     NonInvertibleCoordinate,
     NotInvertible,
     conjugation_dx,
@@ -81,29 +82,27 @@ def build_families(carrier: CarrierAlgebra, x) -> PolyFamilies:
 
     dx_pow = [dx]
     for k in range(1, n):
-        dx_pow.append(carrier.mul(carrier.phi(dx_pow[-1]), dx))
+        dx_pow.append(carrier.phi(dx_pow[-1]) * dx)
 
     # (Q_k)**-1 = Delta(x)**-1 phi(Delta(x))**-1 ... phi**(k-1)(Delta(x))**-1
     dx_pow_inv = []
     acc = twisted_inv[0]
     dx_pow_inv.append(acc)
     for k in range(1, n):
-        acc = carrier.mul(acc, twisted_inv[k])
+        acc = acc * twisted_inv[k]
         dx_pow_inv.append(acc)
 
     dkx = [dx]
     for k in range(1, n):
         prev = dkx[-1]
-        dkx.append(carrier.sub(prev, carrier.mul(carrier.q_element(k), carrier.phi(prev))))
+        dkx.append(prev - carrier.q_element(k) * carrier.phi(prev))
 
-    phi1 = carrier.mul(dx_pow_inv[1], dkx[1])
+    phi1 = dx_pow_inv[1] * dkx[1]
     connection = [phi1]
     for k in range(1, n - 1):
-        nxt = carrier.add(
-            conjugation_dx(carrier, connection[-1], x),
-            carrier.mul(carrier.q_element(k), phi1),
+        connection.append(
+            conjugation_dx(carrier, connection[-1], x) + carrier.q_element(k) * phi1
         )
-        connection.append(nxt)
 
     return PolyFamilies(
         carrier=carrier,
@@ -121,75 +120,22 @@ def identity_check(fam: PolyFamilies) -> list[CheckResult]:
     c = fam.carrier
     n = c.order
     top = fam.dkx[n - 1]
-    out = [CheckResult("dkx_top_vanishes", c.is_zero(top), None if c.is_zero(top) else top)]
+    out = [CheckResult("dkx_top_vanishes", top.is_zero(), None if top.is_zero() else top)]
     acc = c.zero()
     second = fam.dkx[n - 2] if n >= 2 else fam.dkx[0]
     for j in range(n):
-        acc = c.add(acc, c.phi_power(second, j))
+        acc = acc + c.phi_power(second, j)
     out.append(
-        CheckResult("dkx_twisted_sum_vanishes", c.is_zero(acc), None if c.is_zero(acc) else acc)
+        CheckResult("dkx_twisted_sum_vanishes", acc.is_zero(), None if acc.is_zero() else acc)
     )
     return out
-
-
-class KForm:
-    """A homogeneous form tau**degree * coeff over a carrier."""
-
-    __slots__ = ("carrier", "degree", "coeff")
-
-    def __init__(self, carrier: CarrierAlgebra, degree: int, coeff):
-        self.carrier = carrier
-        self.degree = degree % carrier.order
-        self.coeff = coeff
-
-    def __mul__(self, other: KForm) -> KForm:
-        if not isinstance(other, KForm):
-            return NotImplemented
-        if self.carrier != other.carrier:
-            raise ValueError("forms live over different carriers")
-        c = self.carrier
-        w = c.mul(c.phi_power(self.coeff, other.degree), other.coeff)
-        if self.degree + other.degree >= c.order and c.tau_sign < 0:
-            w = c.neg(w)
-        return KForm(c, self.degree + other.degree, w)
-
-    def differential(self) -> KForm:
-        """d(tau**k u) = tau**(k+1) (u - q**k phi(u)), folding the tau**N sign."""
-        c = self.carrier
-        k = self.degree
-        w = c.sub(self.coeff, c.mul(c.q_element(k), c.phi(self.coeff)))
-        if k + 1 == c.order and c.tau_sign < 0:
-            w = c.neg(w)
-        return KForm(c, k + 1, w)
-
-    def scale_left(self, u) -> KForm:
-        """Left multiplication by a carrier element: u * (tau**k w)."""
-        c = self.carrier
-        return KForm(c, self.degree, c.mul(c.phi_power(u, self.degree), self.coeff))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, KForm):
-            return NotImplemented
-        if self.carrier != other.carrier:
-            return False
-        if self.carrier.is_zero(self.coeff) and other.carrier.is_zero(other.coeff):
-            return True
-        return self.degree == other.degree and self.carrier.eq(self.coeff, other.coeff)
-
-    __hash__ = None
-
-    def is_zero(self) -> bool:
-        return self.carrier.is_zero(self.coeff)
-
-    def __repr__(self):
-        return f"KForm(degree={self.degree}, coeff={self.coeff!r})"
 
 
 def to_dx_basis(form: KForm, fam: PolyFamilies):
     """The coefficient r with form = (dx)**k * r (right-module basis)."""
     if form.degree == 0:
         return form.coeff
-    return fam.carrier.mul(fam.dx_pow_inv[form.degree - 1], form.coeff)
+    return fam.dx_pow_inv[form.degree - 1] * form.coeff
 
 
 def from_dx_basis(fam: PolyFamilies, k: int, r) -> KForm:
@@ -198,15 +144,9 @@ def from_dx_basis(fam: PolyFamilies, k: int, r) -> KForm:
     k = N is allowed: (dx)**N = tau**N Q_N folds to the degree-0 carrier
     element tau_sign * Q_N.
     """
-    c = fam.carrier
-    if not 0 <= k <= c.order:
+    if not 0 <= k <= fam.order:
         raise ValueError("k must lie in 0..N")
-    if k == 0:
-        return KForm(c, 0, r)
-    w = c.mul(fam.dx_pow[k - 1], r)
-    if k == c.order and c.tau_sign < 0:
-        w = c.neg(w)
-    return KForm(c, k, w)
+    return KForm(fam.carrier, k, fam.dx_pow[k - 1] * r if k else r)
 
 
 def covariant_operator(fam: PolyFamilies, k: int) -> Callable[[Any], Any]:
@@ -222,10 +162,7 @@ def covariant_operator(fam: PolyFamilies, k: int) -> Callable[[Any], Any]:
     phik = fam.connection[k - 1]
 
     def apply(u):
-        return c.add(
-            c.mul(qk, right_derivative(c, u, fam.x)),
-            c.mul(phik, u),
-        )
+        return qk * right_derivative(c, u, fam.x) + phik * u
 
     return apply
 
@@ -265,13 +202,10 @@ def higher_delta(k: int, r: XPoly) -> XPoly:
 
 def higher_delta_closed(k: int, r: XPoly) -> XPoly:
     """Same operator in closed form: q**k partial(r) + c_k x**(N-1) r with
-    c_k = (q**-k - q**k) / (1 - q)."""
+    c_k = (q**-k - q**k) / (1 - q), the delta_coefficient."""
     n = r.order
-    ck = (CycScalar.q_power(n, -k) - CycScalar.q_power(n, k)) / (
-        CycScalar.one(n) - CycScalar.q(n)
-    )
     return partial_derivative(r).scale(CycScalar.q_power(n, k)) + XPoly.monomial(
-        n, n - 1, ck
+        n, n - 1, delta_coefficient(n, k)
     ) * r
 
 

@@ -206,6 +206,8 @@ class _Parser:
             self.advance()
             if "/" in tok.text:
                 num, den = tok.text.split("/")
+                if not int(den):
+                    raise ParseError(tok.offset, {"a nonzero denominator"}, tok.text)
                 return Number(Fraction(int(num), int(den)))
             return Number(Fraction(int(tok.text)))
         if tok.kind == "-":
@@ -539,6 +541,8 @@ def main(argv=None) -> int:
         parser.error("--order must be at least 2")
     if args.fn is cmd_verify and args.order > args.max_order:
         parser.error(f"--order must be at most {args.max_order} for verify")
+    if args.fn is cmd_verify and args.cases < 1:
+        parser.error("--cases must be at least 1")
     try:
         return args.fn(args)
     except ParseError as exc:

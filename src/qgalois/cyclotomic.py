@@ -238,14 +238,7 @@ class CycScalar:
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        out = CycScalar.one(self.order)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, CycScalar.one(self.order))
 
     # -- comparisons and views ----------------------------------------------
 
@@ -301,12 +294,31 @@ class CycScalar:
                 else:
                     body = f"{c}*{mono}"
             parts.append(body)
-        if not parts:
-            return "0"
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return join_terms(parts)
+
+
+def power(base, k: int, one):
+    """base**k by square-and-multiply; NotImplemented unless k is an int >= 0."""
+    if not isinstance(k, int) or k < 0:
+        return NotImplemented
+    out = one
+    while k:
+        if k & 1:
+            out = out * base
+        k >>= 1
+        if k:
+            base = base * base
+    return out
+
+
+def join_terms(parts: list[str]) -> str:
+    """Join rendered terms with + and -, a term's leading minus becoming the operator."""
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += " - " + p[1:] if p.startswith("-") else " + " + p
+    return out
 
 
 def _poly_divmod(a: list[Fraction], b: list[Fraction]):

@@ -27,8 +27,10 @@ class NonInvertibleCoordinate(NotInvertible):
 
 
 class CarrierAlgebra(ABC):
-    """Operations a carrier algebra must provide to build the extension.
+    """The structure a carrier algebra adds to its elements' own arithmetic.
 
+    Carrier elements provide ``+``, ``-``, ``*``, ``==``, unary minus and
+    ``is_zero()``; the carrier supplies what is not a plain operator.
     ``order`` is N; ``tau_sign`` the sign s in tau**N = s*1.  ``q_element(k)``
     embeds the scalar q**k into the carrier, which keeps the grading code
     generic over the scalar field (cyclotomic for the quantum plane, plain
@@ -45,21 +47,6 @@ class CarrierAlgebra(ABC):
     def one(self) -> Any: ...
 
     @abstractmethod
-    def add(self, u, v) -> Any: ...
-
-    @abstractmethod
-    def neg(self, u) -> Any: ...
-
-    @abstractmethod
-    def mul(self, u, v) -> Any: ...
-
-    @abstractmethod
-    def scalar_mul(self, c, u) -> Any: ...
-
-    @abstractmethod
-    def eq(self, u, v) -> bool: ...
-
-    @abstractmethod
     def phi(self, u) -> Any:
         """The twisting endomorphism; phi**order must be the identity."""
 
@@ -71,18 +58,63 @@ class CarrierAlgebra(ABC):
     def q_element(self, k: int) -> Any:
         """The scalar q**k as a carrier element."""
 
-    # -- derived helpers ----------------------------------------------------
-
-    def sub(self, u, v):
-        return self.add(u, self.neg(v))
-
-    def is_zero(self, u) -> bool:
-        return self.eq(u, self.zero())
-
     def phi_power(self, u, k: int):
         for _ in range(k % self.order):
             u = self.phi(u)
         return u
+
+
+class KForm:
+    """A homogeneous element tau**degree * coeff of the extension.
+
+    The constructor folds tau**N = tau_sign: a degree outside 0..N-1 is
+    reduced mod N, and the coefficient changes sign once per wrap when
+    tau_sign is -1.
+    """
+
+    __slots__ = ("carrier", "degree", "coeff")
+
+    def __init__(self, carrier: CarrierAlgebra, degree: int, coeff):
+        wraps, degree = divmod(degree, carrier.order)
+        if wraps % 2 and carrier.tau_sign < 0:
+            coeff = -coeff
+        self.carrier = carrier
+        self.degree = degree
+        self.coeff = coeff
+
+    def __mul__(self, other: KForm) -> KForm:
+        """(tau**a u)(tau**b v) = tau**(a+b) phi**b(u) v."""
+        if not isinstance(other, KForm):
+            return NotImplemented
+        if self.carrier != other.carrier:
+            raise ValueError("forms live over different carriers")
+        c = self.carrier
+        return KForm(
+            c, self.degree + other.degree, c.phi_power(self.coeff, other.degree) * other.coeff
+        )
+
+    def differential(self) -> KForm:
+        """d(tau**k u) = tau**(k+1) (u - q**k phi(u))."""
+        c = self.carrier
+        k = self.degree
+        return KForm(c, k + 1, self.coeff - c.q_element(k) * c.phi(self.coeff))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, KForm):
+            return NotImplemented
+        if self.carrier != other.carrier:
+            return False
+        if self.is_zero() and other.is_zero():
+            return True
+        return self.degree == other.degree and self.coeff == other.coeff
+
+    __hash__ = None
+
+    def is_zero(self) -> bool:
+        return self.coeff.is_zero()
+
+    def __repr__(self):
+        return f"KForm(degree={self.degree}, coeff={self.coeff!r})"
 
 
 class ExtElement:
@@ -106,6 +138,14 @@ class ExtElement:
         return ExtElement(carrier, comps)
 
     @staticmethod
+    def from_forms(carrier: CarrierAlgebra, forms) -> ExtElement:
+        """The sum of homogeneous forms over one carrier."""
+        comps = [carrier.zero()] * carrier.order
+        for f in forms:
+            comps[f.degree] = comps[f.degree] + f.coeff
+        return ExtElement(carrier, comps)
+
+    @staticmethod
     def embed(carrier: CarrierAlgebra, u) -> ExtElement:
         return ExtElement.from_component(carrier, 0, u)
 
@@ -123,74 +163,57 @@ class ExtElement:
         if self.carrier != other.carrier:
             raise ValueError("elements live over different carriers")
 
+    def forms(self) -> list[KForm]:
+        """The nonzero homogeneous components, in increasing degree."""
+        c = self.carrier
+        return [KForm(c, k, u) for k, u in enumerate(self.components) if not u.is_zero()]
+
     def __add__(self, other: ExtElement) -> ExtElement:
         self._check(other)
-        c = self.carrier
-        return ExtElement(c, (c.add(a, b) for a, b in zip(self.components, other.components)))
+        return ExtElement(self.carrier, (a + b for a, b in zip(self.components, other.components)))
 
     def __neg__(self) -> ExtElement:
-        c = self.carrier
-        return ExtElement(c, (c.neg(a) for a in self.components))
+        return ExtElement(self.carrier, (-a for a in self.components))
 
     def __sub__(self, other: ExtElement) -> ExtElement:
         return self + (-other)
 
     def __mul__(self, other: ExtElement) -> ExtElement:
-        """(tau**a u)(tau**b v) = tau**(a+b) phi**b(u) v, folding tau**N = s."""
         self._check(other)
-        c = self.carrier
-        n = c.order
-        out = [c.zero()] * n
-        for a, u in enumerate(self.components):
-            if c.is_zero(u):
-                continue
-            for b, v in enumerate(other.components):
-                if c.is_zero(v):
-                    continue
-                w = c.mul(c.phi_power(u, b), v)
-                if a + b >= n and c.tau_sign < 0:
-                    w = c.neg(w)
-                out[(a + b) % n] = c.add(out[(a + b) % n], w)
-        return ExtElement(c, out)
+        right = other.forms()
+        return ExtElement.from_forms(self.carrier, (a * b for a in self.forms() for b in right))
 
     def scale(self, coeff) -> ExtElement:
-        c = self.carrier
-        return ExtElement(c, (c.scalar_mul(coeff, u) for u in self.components))
+        return ExtElement(self.carrier, (u.scale(coeff) for u in self.components))
 
     def scale_by_q(self, k: int) -> ExtElement:
         """Multiply by the central scalar q**k."""
-        c = self.carrier
-        qk = c.q_element(k)
-        return ExtElement(c, (c.mul(qk, u) for u in self.components))
+        qk = self.carrier.q_element(k)
+        return ExtElement(self.carrier, (qk * u for u in self.components))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExtElement):
             return NotImplemented
         if self.carrier != other.carrier:
             return False
-        c = self.carrier
-        return all(c.eq(a, b) for a, b in zip(self.components, other.components))
+        return self.components == other.components
 
     __hash__ = None
 
     def is_zero(self) -> bool:
-        c = self.carrier
-        return all(c.is_zero(u) for u in self.components)
+        return all(u.is_zero() for u in self.components)
 
     def is_homogeneous(self) -> bool:
-        c = self.carrier
-        live = [k for k, u in enumerate(self.components) if not c.is_zero(u)]
-        return len(live) <= 1
+        return len(self.forms()) <= 1
 
     def degree(self) -> int | None:
         """Degree of a homogeneous element; 0 for zero; None if mixed."""
-        c = self.carrier
-        live = [k for k, u in enumerate(self.components) if not c.is_zero(u)]
+        live = self.forms()
         if not live:
             return 0
         if len(live) > 1:
             return None
-        return live[0]
+        return live[0].degree
 
     def component(self, k: int):
         return self.components[k % self.carrier.order]
@@ -211,11 +234,11 @@ def q_commutator(v: ExtElement, u: ExtElement) -> ExtElement:
     c = v.carrier
     out = ExtElement.zero(c)
     for a, va in enumerate(v.components):
-        if c.is_zero(va):
+        if va.is_zero():
             continue
         ea = ExtElement.from_component(c, a, va)
         for b, ub in enumerate(u.components):
-            if c.is_zero(ub):
+            if ub.is_zero():
                 continue
             eb = ExtElement.from_component(c, b, ub)
             out = out + ea * eb - (eb * ea).scale_by_q(a * b)
@@ -223,27 +246,13 @@ def q_commutator(v: ExtElement, u: ExtElement) -> ExtElement:
 
 
 def differential(xi: ExtElement) -> ExtElement:
-    """d(xi) = [tau, xi]_q, computed componentwise.
-
-    Component k contributes tau**(k+1) (u_k - q**k phi(u_k)); when k + 1 wraps
-    past N the carrier sign of tau**N multiplies the result.
-    """
-    c = xi.carrier
-    n = c.order
-    out = [c.zero()] * n
-    for k, u in enumerate(xi.components):
-        if c.is_zero(u):
-            continue
-        w = c.sub(u, c.mul(c.q_element(k), c.phi(u)))
-        if k + 1 == n and c.tau_sign < 0:
-            w = c.neg(w)
-        out[(k + 1) % n] = c.add(out[(k + 1) % n], w)
-    return ExtElement(c, out)
+    """d(xi) = [tau, xi]_q, the sum of the differentials of its forms."""
+    return ExtElement.from_forms(xi.carrier, (f.differential() for f in xi.forms()))
 
 
 def delta(carrier: CarrierAlgebra, u):
     """First-order difference Delta(u) = u - phi(u) on the carrier."""
-    return carrier.sub(u, carrier.phi(u))
+    return u - carrier.phi(u)
 
 
 def _delta_inverse(carrier: CarrierAlgebra, x):
@@ -257,7 +266,7 @@ def _delta_inverse(carrier: CarrierAlgebra, x):
 
 def right_derivative(carrier: CarrierAlgebra, u, x):
     """du/dx = Delta(x)**-1 Delta(u); needs Delta(x) invertible."""
-    return carrier.mul(_delta_inverse(carrier, x), delta(carrier, u))
+    return _delta_inverse(carrier, x) * delta(carrier, u)
 
 
 def conjugation_dx(carrier: CarrierAlgebra, u, x):
@@ -267,7 +276,7 @@ def conjugation_dx(carrier: CarrierAlgebra, u, x):
     u * dx = dx * conjugation_dx(u).  It is an algebra endomorphism.
     """
     dx = delta(carrier, x)
-    return carrier.mul(carrier.mul(_delta_inverse(carrier, x), carrier.phi(u)), dx)
+    return _delta_inverse(carrier, x) * carrier.phi(u) * dx
 
 
 def change_of_variable(carrier: CarrierAlgebra, y, x):

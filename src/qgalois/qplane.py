@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .cyclotomic import CycScalar
+from .cyclotomic import CycScalar, join_terms, power
 from .galois import CarrierAlgebra, ExtElement, NotInvertible
 
 _SCALARS = (int, Fraction, CycScalar)
@@ -118,12 +118,7 @@ class XPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            return NotImplemented
-        out = XPoly.one(self.order)
-        for _ in range(k):
-            out = out * self
-        return out
+        return power(self, k, XPoly.one(self.order))
 
     def scale(self, coeff) -> XPoly:
         c = _as_scalar(self.order, coeff)
@@ -206,21 +201,6 @@ class XPolyCarrier(CarrierAlgebra):
 
     def one(self):
         return XPoly.one(self.order)
-
-    def add(self, u, v):
-        return u + v
-
-    def neg(self, u):
-        return -u
-
-    def mul(self, u, v):
-        return u * v
-
-    def scalar_mul(self, c, u):
-        return u.scale(c)
-
-    def eq(self, u, v):
-        return u == v
 
     def phi(self, u):
         return u.twist(1)
@@ -367,12 +347,7 @@ class PlaneElement:
         return o * self
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            return NotImplemented
-        out = PlaneElement.one(self.order)
-        for _ in range(k):
-            out = out * self
-        return out
+        return power(self, k, PlaneElement.one(self.order))
 
     def scale(self, coeff) -> PlaneElement:
         c = _as_scalar(self.order, coeff)
@@ -506,12 +481,7 @@ class RepMatrix:
         return RepMatrix(n, out)
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            return NotImplemented
-        out = RepMatrix.identity(self.order)
-        for _ in range(k):
-            out = out * self
-        return out
+        return power(self, k, RepMatrix.identity(self.order))
 
     def scale(self, coeff) -> RepMatrix:
         c = _as_scalar(self.order, coeff)
@@ -633,9 +603,4 @@ def _terms_str(terms) -> str:
             parts.append(f"{cs}*{mono}")
         else:
             parts.append(f"({cs})*{mono}")
-    if not parts:
-        return "0"
-    out = parts[0]
-    for p in parts[1:]:
-        out += " - " + p[1:] if p.startswith("-") else " + " + p
-    return out
+    return join_terms(parts)

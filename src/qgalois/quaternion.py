@@ -19,8 +19,6 @@ from .galois import (
     ExtElement,
     NonInvertibleCoordinate,
     NotInvertible,
-    delta,
-    differential,
     right_derivative,
 )
 
@@ -50,6 +48,11 @@ class ComplexRational:
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
+
+    def scale(self, c) -> ComplexRational:
+        """Multiply by a rational scalar."""
+        c = Fraction(c)
+        return ComplexRational(c * self.re, c * self.im)
 
     def conjugate(self) -> ComplexRational:
         return ComplexRational(self.re, -self.im)
@@ -89,22 +92,6 @@ class ConjugationCarrier(CarrierAlgebra):
 
     def one(self):
         return _C_ONE
-
-    def add(self, u, v):
-        return u + v
-
-    def neg(self, u):
-        return -u
-
-    def mul(self, u, v):
-        return u * v
-
-    def scalar_mul(self, c, u):
-        c = Fraction(c)
-        return ComplexRational(c * u.re, c * u.im)
-
-    def eq(self, u, v):
-        return u == v
 
     def phi(self, u):
         return u.conjugate()
@@ -167,13 +154,3 @@ def linear_decomposition(u: ComplexRational, x: ComplexRational) -> tuple[Fracti
     d = u.im / x.im
     c = u.re - d * x.re
     return (c, d)
-
-
-def quaternion_differential(xi: ExtElement) -> ExtElement:
-    """d(xi) = [i, xi]_q with q = -1; see galois.differential."""
-    return differential(xi)
-
-
-def delta_x(x: ComplexRational) -> ComplexRational:
-    """Delta(x) = x - xbar = 2 x.im j; invertible exactly when x.im != 0."""
-    return delta(CARRIER, x)

@@ -212,10 +212,7 @@ def test_criterion_05_connection_coherence():
     # regression: the q^(k-1)-twisted recurrence must disagree at order 3, k=2
     fam3 = q_plane_families(3)
     c3 = fam3.carrier
-    candidate = c3.add(
-        conjugation_dx(c3, fam3.connection[0], fam3.x),
-        c3.mul(c3.q_element(0), fam3.connection[0]),
-    )
+    candidate = conjugation_dx(c3, fam3.connection[0], fam3.x) + c3.q_element(0) * fam3.connection[0]
     dx2 = from_dx_basis(fam3, 2, XPoly.one(3))
     if candidate == fam3.connection[1] or dx2.differential() == from_dx_basis(fam3, 3, candidate):
         ok, detail = False, "variant recurrence unexpectedly satisfied the identity"

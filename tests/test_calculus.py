@@ -164,10 +164,7 @@ def test_printed_connection_recurrence_is_wrong():
     c = fam.carrier
     x = XPoly.x(order)
     phi1 = fam.connection[0]
-    candidate = c.add(
-        conjugation_dx(c, phi1, fam.x),
-        c.mul(c.q_element(1 - 1), phi1),
-    )
+    candidate = conjugation_dx(c, phi1, fam.x) + c.q_element(1 - 1) * phi1
     assert candidate == (x * x).scale(CycScalar.q_power(order, 2))
     assert candidate != fam.connection[1]
     dx2 = from_dx_basis(fam, 2, XPoly.one(order))

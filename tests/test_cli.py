@@ -160,6 +160,13 @@ def test_main_rejects_bad_orders():
     assert exc.value.code == 2
 
 
+def test_main_rejects_case_counts_below_one():
+    for cases in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--order", "2", "--cases", cases])
+        assert exc.value.code == 2
+
+
 def test_main_matrix_text(capsys):
     assert main(["matrix", "--order", "2", "y"]) == 0
     assert capsys.readouterr().out == "[0, 1]\n[1, 0]\n"
@@ -211,6 +218,25 @@ def test_entry_point_exit_codes():
     assert run_cli("normalize", "--order", "2", "x").returncode == 0
     assert run_cli("normalize", "--order", "2", "x*(").returncode == 2
     assert run_cli("normalize").returncode == 2  # missing required arguments
+
+
+def test_zero_denominator_is_a_parse_error():
+    proc = run_cli("normalize", "--order", "3", "x + 1/0")
+    assert proc.returncode == 2
+    assert "syntax error at offset 4: expected a nonzero denominator, found 1/0" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_huge_exponent_ends_quickly():
+    # x^N = 1 and 10^8 = 1 mod 3, so the power is x itself
+    proc = subprocess.run(
+        [sys.executable, "-m", "qgalois", "normalize", "--order", "3", "x^100000000"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "x\n"
 
 
 @pytest.mark.parametrize(

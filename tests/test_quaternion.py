@@ -9,10 +9,13 @@ import pytest
 from qgalois import (
     ComplexRational,
     NonInvertibleCoordinate,
+    ExtElement,
+    KForm,
     build_families,
+    differential,
+    from_dx_basis,
     from_quaternion,
     linear_decomposition,
-    quaternion_differential,
     right_derivative,
     second_right_derivative,
     to_quaternion,
@@ -64,27 +67,27 @@ def test_round_trip_randomized():
 
 def test_differential_of_pure_i_multiples():
     # d(c i) = -2c for rational c
-    assert to_quaternion(quaternion_differential(quat(0, 3, 0, 0))) == (-6, 0, 0, 0)
-    assert to_quaternion(quaternion_differential(QUAT_ONE)) == (0, 0, 0, 0)
+    assert to_quaternion(differential(quat(0, 3, 0, 0))) == (-6, 0, 0, 0)
+    assert to_quaternion(differential(QUAT_ONE)) == (0, 0, 0, 0)
 
 
 def test_differential_with_j_component_in_degree_zero():
     # the degree-0 component with a j part feeds a k term into the result
     xi = quat(2, 3, 7, 5)
-    assert to_quaternion(quaternion_differential(xi)) == (-6, 0, 0, 14)
+    assert to_quaternion(differential(xi)) == (-6, 0, 0, 14)
 
 
 def test_differential_squares_to_zero_on_sign_patterns():
     for signs in itertools.product((1, -1), repeat=4):
         xi = quat(*signs)
-        assert quaternion_differential(quaternion_differential(xi)).is_zero()
+        assert differential(differential(xi)).is_zero()
 
 
 def test_differential_squares_to_zero_randomized():
     rng = random.Random(67)
     for _ in range(60):
         xi = rand_quat(rng)
-        assert quaternion_differential(quaternion_differential(xi)).is_zero()
+        assert differential(differential(xi)).is_zero()
 
 
 def test_first_derivative_is_a_rational_constant():
@@ -121,7 +124,7 @@ def test_linear_decomposition_is_exact():
         u = ComplexRational.of(Fraction(rng.randint(-9, 9)), Fraction(rng.randint(-9, 9)))
         x = ComplexRational.of(Fraction(rng.randint(-9, 9)), Fraction(rng.randint(1, 9)))
         c, d = linear_decomposition(u, x)
-        rebuilt = ComplexRational.of(c) + CARRIER.scalar_mul(d, x)
+        rebuilt = ComplexRational.of(c) + x.scale(d)
         assert rebuilt == u
         assert d == u.im / x.im
 
@@ -135,3 +138,13 @@ def test_families_at_order_two():
     assert fam.dx_pow[1] == ComplexRational.of(4)
     twisted_sum = fam.dkx[0] + CARRIER.phi(fam.dkx[0])
     assert twisted_sum.is_zero()
+
+
+def test_dx_basis_folds_tau_squared_to_minus_one():
+    # x = j: dx = tau Delta(j) = i (2j) = 2k, and (2k)^2 = -4 by k^2 = -1
+    fam = build_families(CARRIER, ComplexRational.of(0, 1))
+    dx = KForm(CARRIER, 1, fam.delta_x)
+    dx_squared = from_dx_basis(fam, 2, ComplexRational.of(1))
+    assert dx_squared == dx * dx
+    assert dx_squared.degree == 0
+    assert to_quaternion(ExtElement.from_forms(CARRIER, [dx_squared])) == (-4, 0, 0, 0)

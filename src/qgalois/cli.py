@@ -9,23 +9,38 @@ Expression grammar (whitespace is free):
             | 'd' '(' expr ')' | 'partial' '(' expr ')'
             | 'D' uint '(' expr ')' | '(' expr ')' | '-' atom
 
-Rationals are written as ``7`` or ``7/3``.  Exit codes: 0 success, 1 a verify
-run found a failing identity, 2 usage, parse, or evaluation errors.
+Rationals are written as ``7`` or ``7/3``; parentheses, unary minus and calls
+nest at most 100 deep.  Exit codes: 0 success, 1 a verify run found a failing
+identity, 2 usage, parse, or evaluation errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .calculus import covariant_operator, q_plane_families
+from .calculus import covariant_operator, delta_coefficient, partial_derivative, q_plane_families
 from .cyclotomic import CycScalar
-from .galois import NotInvertible, differential
-from .qplane import PlaneElement, RepMatrix, XPoly, from_extension, represent, to_extension
+from .galois import ExtElement, NotInvertible, differential
+from .qplane import (
+    PlaneElement,
+    RepMatrix,
+    XPoly,
+    XPolyCarrier,
+    from_extension,
+    represent,
+    to_extension,
+)
 from .verify import run_all
+
+# Every command's largest --order: the largest the tests and benchmark use; cost grows fast past it.
+MAX_ORDER = 8
+# Parentheses, unary minus and calls nest at most this deep, far inside the recursion limit.
+MAX_NESTING = 100
 
 
 class ParseError(Exception):
@@ -153,6 +168,7 @@ class _Parser:
     def __init__(self, src: str):
         self.tokens = tokenize(src)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -194,47 +210,62 @@ class _Parser:
         node = self.atom()
         if self.peek().kind == "^":
             self.advance()
-            tok = self.expect("num", "an integer exponent")
-            if "/" in tok.text:
-                raise ParseError(tok.offset, {"an integer exponent"}, tok.text)
-            node = Pow(node, int(tok.text))
+            node = Pow(node, self.integer("an integer exponent"))
+        return node
+
+    def number(self, tok: Token) -> Fraction:
+        """The value of a num token; a part past the int-string digit limit is a ParseError."""
+        try:
+            parts = [int(p) for p in tok.text.split("/")]
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            found = f"{max(len(p) for p in tok.text.split('/'))} digits"
+            raise ParseError(tok.offset, {f"a number of at most {limit} digits"}, found) from None
+        if parts[1:] == [0]:
+            raise ParseError(tok.offset, {"a nonzero denominator"}, tok.text)
+        return Fraction(*parts)
+
+    def integer(self, what: str) -> int:
+        tok = self.expect("num", what)
+        if "/" in tok.text:
+            raise ParseError(tok.offset, {what}, tok.text)
+        return int(self.number(tok))
+
+    def nested(self, tok: Token, parse):
+        """Run parse() one nesting level below tok, at most MAX_NESTING deep."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(tok.offset, {f"at most {MAX_NESTING} levels of nesting"}, tok.text)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
+
+    def argument(self, tok: Token):
+        """A parenthesized expression one level below tok, a call's name or the '(' itself."""
+        self.expect("(", "'('")
+        node = self.nested(tok, self.expr)
+        self.expect(")", "')'")
         return node
 
     def atom(self):
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
-            if "/" in tok.text:
-                num, den = tok.text.split("/")
-                if not int(den):
-                    raise ParseError(tok.offset, {"a nonzero denominator"}, tok.text)
-                return Number(Fraction(int(num), int(den)))
-            return Number(Fraction(int(tok.text)))
+            return Number(self.number(tok))
         if tok.kind == "-":
             self.advance()
-            return Neg(self.atom())
+            return Neg(self.nested(tok, self.atom))
         if tok.kind == "(":
-            self.advance()
-            node = self.expr()
-            self.expect(")", "')'")
-            return node
+            return self.argument(tok)
         if tok.kind == "name":
             self.advance()
             if tok.text in ("q", "x", "y"):
                 return Sym(tok.text)
             if tok.text in ("d", "partial"):
-                self.expect("(", "'('")
-                node = self.expr()
-                self.expect(")", "')'")
-                return Call(tok.text, node)
+                return Call(tok.text, self.argument(tok))
             if tok.text == "D":
-                ktok = self.expect("num", "an integer index")
-                if "/" in ktok.text:
-                    raise ParseError(ktok.offset, {"an integer index"}, ktok.text)
-                self.expect("(", "'('")
-                node = self.expr()
-                self.expect(")", "')'")
-                return CovD(int(ktok.text), node)
+                k = self.integer("an integer index")
+                return CovD(k, self.argument(tok))
             raise ParseError(tok.offset, _ATOM_EXPECTED, tok.text)
         raise ParseError(tok.offset, _ATOM_EXPECTED, tok.text or "end of input")
 
@@ -288,8 +319,21 @@ def _as_function(w: PlaneElement) -> XPoly:
     return w.row(0)
 
 
+_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
+
+
 def evaluate(node, order: int) -> PlaneElement:
     """Evaluate an AST in the reduced quantum plane of the given order."""
+    # Left-nested + - * chains fold in a loop: long flat input needs no deep recursion.
+    if type(node) in _BINARY:
+        steps = []
+        while type(node) in _BINARY:
+            steps.append((_BINARY[type(node)], node.right))
+            node = node.left
+        acc = evaluate(node, order)
+        for op, right in reversed(steps):
+            acc = op(acc, evaluate(right, order))
+        return acc
     if isinstance(node, Number):
         return PlaneElement.from_scalar(order, Fraction(node.value))
     if isinstance(node, Sym):
@@ -300,20 +344,12 @@ def evaluate(node, order: int) -> PlaneElement:
         return PlaneElement.y(order)
     if isinstance(node, Neg):
         return -evaluate(node.arg, order)
-    if isinstance(node, Add):
-        return evaluate(node.left, order) + evaluate(node.right, order)
-    if isinstance(node, Sub):
-        return evaluate(node.left, order) - evaluate(node.right, order)
-    if isinstance(node, Mul):
-        return evaluate(node.left, order) * evaluate(node.right, order)
     if isinstance(node, Pow):
         return evaluate(node.base, order) ** node.exponent
     if isinstance(node, Call):
         inner = evaluate(node.arg, order)
         if node.fn == "d":
             return from_extension(differential(to_extension(inner)))
-        from .calculus import partial_derivative
-
         r = partial_derivative(_as_function(inner))
         return _xpoly_to_plane(r)
     if isinstance(node, CovD):
@@ -326,8 +362,7 @@ def evaluate(node, order: int) -> PlaneElement:
 
 
 def _xpoly_to_plane(r: XPoly) -> PlaneElement:
-    rows = [r] + [XPoly.zero(r.order) for _ in range(r.order - 1)]
-    return PlaneElement.from_rows(r.order, rows)
+    return from_extension(ExtElement.embed(XPolyCarrier(r.order), r))
 
 
 # -- JSON encoding -------------------------------------------------------------------
@@ -362,12 +397,21 @@ def matrix_json(m: RepMatrix) -> dict:
 # -- subcommands ----------------------------------------------------------------------
 
 
+def _emit(output) -> None:
+    """Print output(); a value past the int-string digit limit or float range is an EvalError."""
+    try:
+        text = output()
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise EvalError(f"result has an integer over {limit} digits, too many to print") from None
+    except OverflowError:
+        raise EvalError("result has a value too large for a float approximation") from None
+    print(text)
+
+
 def cmd_normalize(args) -> int:
     w = evaluate(parse(args.expr), args.order)
-    if args.json:
-        print(json.dumps(element_json(w)))
-    else:
-        print(w)
+    _emit(lambda: json.dumps(element_json(w)) if args.json else str(w))
     return 0
 
 
@@ -412,8 +456,6 @@ def _residual_json(residual):
 def cmd_tables(args) -> int:
     fam = q_plane_families(args.order)
     n = args.order
-    from .calculus import delta_coefficient
-
     coeffs = [delta_coefficient(n, k) for k in range(n)]
     if args.json:
         payload = {
@@ -439,20 +481,24 @@ def cmd_tables(args) -> int:
 def cmd_matrix(args) -> int:
     w = evaluate(parse(args.expr), args.order)
     m = represent(w)
-    if args.json:
-        payload = matrix_json(m)
+
+    def output() -> str:
+        if args.json:
+            payload = matrix_json(m)
+            if args.approx:
+                payload["approx"] = [
+                    [[e.embed().real, e.embed().imag] for e in row] for row in m.entries
+                ]
+            return json.dumps(payload)
+        lines = [str(m)]
         if args.approx:
-            payload["approx"] = [
-                [[e.embed().real, e.embed().imag] for e in row] for row in m.entries
-            ]
-        print(json.dumps(payload))
-    else:
-        print(m)
-        if args.approx:
-            print("approx:")
+            lines.append("approx:")
             for row in m.entries:
                 cells = ", ".join(f"{e.embed().real:+.6f}{e.embed().imag:+.6f}j" for e in row)
-                print(f"[{cells}]")
+                lines.append(f"[{cells}]")
+        return "\n".join(lines)
+
+    _emit(output)
     return 0
 
 
@@ -461,33 +507,30 @@ def cmd_diff(args) -> int:
     n = args.order
     fam = q_plane_families(n)
     dxi = differential(to_extension(w))
-    terms = []
-    for m in range(n):
-        u = dxi.component(m)
-        if u.is_zero():
-            continue
-        r = u if m == 0 else fam.dx_pow_inv[m - 1] * u
-        terms.append((m, r))
-    if args.json:
-        payload = {
-            "order": n,
-            "element": element_json(from_extension(dxi)),
-            "dx_form": [{"degree": m, "coeff": xpoly_json(r)} for m, r in terms],
-        }
-        print(json.dumps(payload))
-    else:
-        if not terms:
-            print("0")
-        else:
-            parts = []
-            for m, r in terms:
-                if m == 0:
-                    parts.append(f"({r})")
-                elif m == 1:
-                    parts.append(f"dx*({r})")
-                else:
-                    parts.append(f"(dx)^{m}*({r})")
-            print(" + ".join(parts))
+    terms = [
+        (f.degree, f.coeff if f.degree == 0 else fam.dx_pow_inv[f.degree - 1] * f.coeff)
+        for f in dxi.forms()
+    ]
+
+    def output() -> str:
+        if args.json:
+            payload = {
+                "order": n,
+                "element": element_json(from_extension(dxi)),
+                "dx_form": [{"degree": m, "coeff": xpoly_json(r)} for m, r in terms],
+            }
+            return json.dumps(payload)
+        parts = []
+        for m, r in terms:
+            if m == 0:
+                parts.append(f"({r})")
+            elif m == 1:
+                parts.append(f"dx*({r})")
+            else:
+                parts.append(f"(dx)^{m}*({r})")
+        return " + ".join(parts) or "0"
+
+    _emit(output)
     return 0
 
 
@@ -502,7 +545,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--order", type=int, required=True, metavar="N", help="grading order N >= 2")
+        sp.add_argument(
+            "--order", type=int, required=True, metavar="N", help=f"grading order N, 2..{MAX_ORDER}"
+        )
         sp.add_argument("--json", action="store_true", help="machine-readable output")
 
     sp = sub.add_parser("normalize", help="evaluate an expression to normal form")
@@ -514,7 +559,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     sp.add_argument("--cases", type=int, default=100, help="samples per identity (default 100)")
-    sp.add_argument("--max-order", type=int, default=8, help="largest accepted order (default 8)")
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("tables", help="print the coordinate families")
@@ -537,10 +581,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.order < 2:
-        parser.error("--order must be at least 2")
-    if args.fn is cmd_verify and args.order > args.max_order:
-        parser.error(f"--order must be at most {args.max_order} for verify")
+    if not 2 <= args.order <= MAX_ORDER:
+        parser.error(f"--order must lie in 2..{MAX_ORDER}")
     if args.fn is cmd_verify and args.cases < 1:
         parser.error("--cases must be at least 1")
     try:

@@ -128,7 +128,9 @@ class CycScalar:
         return CycScalar(order, tuple(coeffs))
 
     @staticmethod
+    @functools.lru_cache(maxsize=None)
     def zero(order: int) -> CycScalar:
+        """One shared zero per order; safe because scalars are immutable."""
         return CycScalar.from_rational(order, 0)
 
     @staticmethod

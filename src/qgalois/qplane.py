@@ -7,7 +7,8 @@ endomorphism x -> q x; the whole plane is recovered as that extension, with
 the y-degree as the grading.
 
 Also provides the faithful N x N matrix representation
-x -> diag(1, q**-1, ..., q**-(N-1)) and y -> the cyclic shift matrix.
+x -> diag(1, q**-1, ..., q**-(N-1)) and y -> the cyclic shift matrix, which
+evaluates the y-components at the roots of x**N - 1.
 """
 
 from __future__ import annotations
@@ -158,24 +159,18 @@ class XPoly:
         return acc
 
     def inverse(self) -> XPoly:
-        """Invert by evaluation at the N roots of x**N - 1 and interpolation.
+        """Invert by evaluation at the N roots of x**N - 1, then evaluation again.
 
-        A zero value at any root means the element is a zero divisor and has
-        no inverse; NotInvertible is raised.
+        Coefficient l of the inverse is W(q**-l) / N, W having the inverted values
+        as coefficients.  A zero value means a zero divisor: NotInvertible is raised.
         """
         n = self.order
         values = [self.evaluate_at_q_power(j) for j in range(n)]
         if not all(values):
             raise NotInvertible("element vanishes at a root of x**N - 1")
-        inv_values = [v.inverse() for v in values]
+        w = XPoly(n, (v.inverse() for v in values))
         inv_n = CycScalar.from_rational(n, Fraction(1, n))
-        coeffs = []
-        for l in range(n):
-            acc = CycScalar.zero(n)
-            for j, w in enumerate(inv_values):
-                acc = acc + CycScalar.q_power(n, -j * l) * w
-            coeffs.append(inv_n * acc)
-        return XPoly(n, coeffs)
+        return XPoly(n, (inv_n * w.evaluate_at_q_power(-l) for l in range(n)))
 
     def __str__(self):
         return _terms_str(
@@ -282,12 +277,7 @@ class PlaneElement:
         if isinstance(other, _SCALARS):
             return PlaneElement.from_scalar(self.order, other)
         if isinstance(other, XPoly):
-            if other.order != self.order:
-                raise ValueError("order mismatch")
-            return PlaneElement(
-                self.order,
-                [other.coeffs] + [PlaneElement.zero(self.order).grid[0]] * (self.order - 1),
-            )
+            return from_extension(ExtElement.embed(XPolyCarrier(self.order), other))
         return None
 
     def __add__(self, other):
@@ -373,19 +363,12 @@ class PlaneElement:
         """The coefficient of y**k as an element of the x-subalgebra."""
         return XPoly(self.order, self.grid[k % self.order])
 
-    def homogeneous_degrees(self) -> list[int]:
-        return [k for k in range(self.order) if any(self.grid[k])]
-
     def is_homogeneous(self) -> bool:
-        return len(self.homogeneous_degrees()) <= 1
+        return to_extension(self).is_homogeneous()
 
     def degree(self) -> int | None:
-        live = self.homogeneous_degrees()
-        if not live:
-            return 0
-        if len(live) > 1:
-            return None
-        return live[0]
+        """The y-degree of a homogeneous element; 0 for zero; None if mixed."""
+        return to_extension(self).degree()
 
     def __str__(self):
         terms = []
@@ -402,8 +385,7 @@ class PlaneElement:
 
 def to_extension(w: PlaneElement) -> ExtElement:
     """View a plane element as sum_k y**k u_k(x) over the x-subalgebra."""
-    carrier = XPolyCarrier(w.order)
-    return ExtElement(carrier, (w.row(k) for k in range(w.order)))
+    return ExtElement(XPolyCarrier(w.order), (w.row(k) for k in range(w.order)))
 
 
 def from_extension(xi: ExtElement) -> PlaneElement:
@@ -429,16 +411,7 @@ class RepMatrix:
 
     @staticmethod
     def identity(order: int) -> RepMatrix:
-        one, zero = CycScalar.one(order), CycScalar.zero(order)
-        return RepMatrix(
-            order,
-            ((one if i == j else zero for j in range(order)) for i in range(order)),
-        )
-
-    @staticmethod
-    def zero(order: int) -> RepMatrix:
-        z = CycScalar.zero(order)
-        return RepMatrix(order, ((z,) * order,) * order)
+        return represent(PlaneElement.one(order))
 
     def _check(self, other):
         if not isinstance(other, RepMatrix) or other.order != self.order:
@@ -452,11 +425,7 @@ class RepMatrix:
         )
 
     def __sub__(self, other):
-        self._check(other)
-        return RepMatrix(
-            self.order,
-            ((a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
-        )
+        return self + (-other)
 
     def __neg__(self):
         return RepMatrix(self.order, ((-a for a in row) for row in self.entries))
@@ -506,48 +475,33 @@ class RepMatrix:
         return f"RepMatrix({self.order})\n{self!s}"
 
 
+def represent(w: PlaneElement) -> RepMatrix:
+    """The matrix image of a plane element; multiplicative and faithful.
+
+    Y**k X**l has the single entry q**(-j l) in column j, row j - k, so the
+    image of w = sum_k y**k u_k(x) has entry (i, j) = u_(j-i)(q**-j): the
+    components evaluated at the roots of x**N - 1.
+    """
+    n = w.order
+    return RepMatrix(
+        n, ((w.row(j - i).evaluate_at_q_power(-j) for j in range(n)) for i in range(n))
+    )
+
+
 @functools.lru_cache(maxsize=None)
 def generator_matrices(order: int) -> tuple[RepMatrix, RepMatrix]:
     """(X, Y): X = diag(q**0, q**-1, ..., q**-(N-1)), Y the cyclic shift."""
-    n = order
-    zero = CycScalar.zero(n)
-    x_rows = [
-        [CycScalar.q_power(n, -i) if i == j else zero for j in range(n)]
-        for i in range(n)
-    ]
-    one = CycScalar.one(n)
-    y_rows = [[zero] * n for _ in range(n)]
-    for i in range(n - 1):
-        y_rows[i][i + 1] = one
-    y_rows[n - 1][0] = one
-    return RepMatrix(n, x_rows), RepMatrix(n, y_rows)
+    return represent(PlaneElement.x(order)), represent(PlaneElement.y(order))
 
 
 @functools.lru_cache(maxsize=None)
 def basis_matrices(order: int) -> dict[tuple[int, int], RepMatrix]:
     """Images of all basis monomials y**k x**l."""
-    xm, ym = generator_matrices(order)
-    out: dict[tuple[int, int], RepMatrix] = {}
-    yk = RepMatrix.identity(order)
-    for k in range(order):
-        ykxl = yk
-        for l in range(order):
-            out[(k, l)] = ykxl
-            ykxl = ykxl * xm
-        yk = yk * ym
-    return out
-
-
-def represent(w: PlaneElement) -> RepMatrix:
-    """The matrix image of a plane element; multiplicative and faithful."""
-    basis = basis_matrices(w.order)
-    acc = RepMatrix.zero(w.order)
-    for k in range(w.order):
-        for l in range(w.order):
-            c = w.grid[k][l]
-            if c:
-                acc = acc + basis[(k, l)].scale(c)
-    return acc
+    return {
+        (k, l): represent(PlaneElement.monomial(order, k, l))
+        for k in range(order)
+        for l in range(order)
+    }
 
 
 def scalar_rank(vectors: list[list[CycScalar]]) -> int:

@@ -298,11 +298,10 @@ def qplane_suite(order: int, rng: random.Random, cases: int) -> list[CheckResult
         for _ in range(cases):
             r = _rand_xpoly(rng, n)
             k = rng.randrange(n)
-            rp = PlaneElement.from_rows(n, [r] + [XPoly.zero(n)] * (n - 1))
             yk = PlaneElement.y(n) ** k
             rows = [XPoly.zero(n)] * n
             rows[k % n] = r.twist(k)
-            yield rp * yk - PlaneElement.from_rows(n, rows)
+            yield r * yk - PlaneElement.from_rows(n, rows)
 
     out.append(_all_zero("qplane.twist_transport", twist_law()))
 

@@ -158,6 +158,12 @@ def test_main_rejects_bad_orders():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--order", "9"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["tables", "--order", "9"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["normalize", "--order", "3000", "x"])
+    assert exc.value.code == 2
 
 
 def test_main_rejects_case_counts_below_one():
@@ -225,6 +231,62 @@ def test_zero_denominator_is_a_parse_error():
     assert proc.returncode == 2
     assert "syntax error at offset 4: expected a nonzero denominator, found 1/0" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "expr,message",
+    [
+        ("x^" + "1" * 5000, "syntax error at offset 2: expected a number of at most 4300 digits"),
+        ("x + " + "7" * 5000 + "/3", "syntax error at offset 4: expected a number of at most"),
+        ("D" + "1" * 5000 + "(x)", "syntax error at offset 1: expected a number of at most"),
+        ("2^100000", "result has an integer over 4300 digits"),
+        ("(1+x)^100000", "result has an integer over 4300 digits"),
+    ],
+    ids=["long-exponent", "long-literal", "long-index", "big-power", "big-product"],
+)
+def test_int_string_digit_limit_is_a_user_error(expr, message):
+    proc = run_cli("normalize", "--order", "3", expr)
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_float_overflow_in_approx_is_a_user_error(capsys):
+    for extra in ([], ["--json"]):
+        assert main(["matrix", "--order", "3", "--approx", *extra, "2^2000"]) == 2
+        assert "too large for a float approximation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "opener,closer,offset",
+    [("(", ")", 102), ("-", "", 102), ("d(", ")", 202), ("partial(", ")", 802), ("D1(", ")", 302)],
+)
+def test_nesting_is_limited(capsys, opener, closer, offset):
+    def nest(depth):
+        return "x*" + opener * depth + "x" + closer * depth
+
+    assert main(["normalize", "--order", "3", nest(100)]) == 0
+    capsys.readouterr()
+    assert main(["normalize", "--order", "3", nest(101)]) == 2
+    err = capsys.readouterr().err
+    assert f"syntax error at offset {offset}: expected at most 100 levels of nesting" in err
+
+
+def test_deep_input_ends_as_a_parse_error():
+    for expr in ("(" * 3000 + "x" + ")" * 3000, "x*" + "-" * 3000 + "x"):
+        proc = run_cli("normalize", "--order", "3", expr)
+        assert proc.returncode == 2
+        assert "expected at most 100 levels of nesting" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+def test_long_flat_chains_evaluate(capsys):
+    assert main(["normalize", "--order", "3", "x" + "+x" * 3000]) == 0
+    assert capsys.readouterr().out == "3001*x\n"
+    assert main(["normalize", "--order", "3", "x" + "*x" * 3000]) == 0
+    assert capsys.readouterr().out == "x\n"
+    assert main(["normalize", "--order", "3", "x" + "-x" * 3000]) == 0
+    assert capsys.readouterr().out == "-2999*x\n"
 
 
 def test_huge_exponent_ends_quickly():

@@ -167,6 +167,20 @@ def test_evaluation_at_roots():
         assert r.evaluate_at_q_power(j) == expected
 
 
+def hand_matrices(order):
+    """I, X = diag(q**0, q**-1, ..., q**-(N-1)) and the cyclic shift Y, entry by entry."""
+    zero, one = CycScalar.zero(order), CycScalar.one(order)
+
+    def matrix(entry):
+        return RepMatrix(order, [[entry(i, j) for j in range(order)] for i in range(order)])
+
+    return (
+        matrix(lambda i, j: one if i == j else zero),
+        matrix(lambda i, j: CycScalar.q_power(order, -i) if i == j else zero),
+        matrix(lambda i, j: one if j == (i + 1) % order else zero),
+    )
+
+
 def test_generator_matrices_small_orders():
     X2, Y2 = generator_matrices(2)
     assert X2 == RepMatrix(2, [[1, 0], [0, -1]])
@@ -177,6 +191,21 @@ def test_generator_matrices_small_orders():
         3,
         [[1, 0, 0], [0, q3 ** 2, 0], [0, 0, q3]],
     )
+    for order in range(2, 9):
+        assert generator_matrices(order) == hand_matrices(order)[1:]
+
+
+@pytest.mark.parametrize("order", range(2, 9))
+def test_represent_sends_monomials_to_generator_words(order):
+    """represent(y**k x**l) == Y**k X**l, the word multiplied out from hand-built matrices."""
+    identity, X, Y = hand_matrices(order)
+    yk = identity
+    for k in range(order):
+        word = yk
+        for l in range(order):
+            assert represent(PlaneElement.monomial(order, k, l)) == word
+            word = word * X
+        yk = yk * Y
 
 
 @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])

@@ -40,10 +40,8 @@ from .qplane import (
     RepMatrix,
     XPoly,
     XPolyCarrier,
-    from_extension,
     generator_matrices,
     represent,
-    to_extension,
 )
 from .quaternion import (
     ComplexRational,
@@ -79,7 +77,6 @@ __all__ = [
     "delta_coefficient",
     "differential",
     "from_dx_basis",
-    "from_extension",
     "from_quaternion",
     "generator_matrices",
     "higher_delta",
@@ -97,7 +94,6 @@ __all__ = [
     "second_right_derivative",
     "tau",
     "to_dx_basis",
-    "to_extension",
     "to_quaternion",
 ]
 

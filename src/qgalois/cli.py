@@ -26,15 +26,7 @@ from fractions import Fraction
 from .calculus import covariant_operator, delta_coefficient, partial_derivative, q_plane_families
 from .cyclotomic import CycScalar
 from .galois import ExtElement, NotInvertible, differential
-from .qplane import (
-    PlaneElement,
-    RepMatrix,
-    XPoly,
-    XPolyCarrier,
-    from_extension,
-    represent,
-    to_extension,
-)
+from .qplane import PlaneElement, RepMatrix, XPoly, represent
 from .verify import run_all
 
 # Every command's largest --order: the largest the tests and benchmark use; cost grows fast past it.
@@ -278,25 +270,26 @@ def parse(src: str):
 # -- rendering --------------------------------------------------------------------
 
 _PREC_ADD, _PREC_MUL, _PREC_POW, _PREC_ATOM = 1, 2, 4, 5
+_INFIX = {Add: (" + ", _PREC_ADD), Sub: (" - ", _PREC_ADD), Mul: ("*", _PREC_MUL)}
 
 
 def render(node, prec: int = 0) -> str:
     """Minimal-parenthesis source form; parse(render(t)) == t."""
-    if isinstance(node, Number):
+    if type(node) in _INFIX:
+        # A left-nested chain of one precedence renders in a loop, as evaluate folds it.
+        mine = _INFIX[type(node)][1]
+        rights = []
+        while type(node) in _INFIX and _INFIX[type(node)][1] == mine:
+            op = _INFIX[type(node)][0]
+            rights.append(op + render(node.right, mine + 1))
+            node = node.left
+        body = render(node, mine) + "".join(reversed(rights))
+    elif isinstance(node, Number):
         body, mine = str(node.value), _PREC_ATOM
     elif isinstance(node, Sym):
         body, mine = node.name, _PREC_ATOM
     elif isinstance(node, Neg):
         body, mine = "-" + render(node.arg, _PREC_ATOM), _PREC_ATOM
-    elif isinstance(node, Add):
-        body = render(node.left, _PREC_ADD) + " + " + render(node.right, _PREC_ADD + 1)
-        mine = _PREC_ADD
-    elif isinstance(node, Sub):
-        body = render(node.left, _PREC_ADD) + " - " + render(node.right, _PREC_ADD + 1)
-        mine = _PREC_ADD
-    elif isinstance(node, Mul):
-        body = render(node.left, _PREC_MUL) + "*" + render(node.right, _PREC_MUL + 1)
-        mine = _PREC_MUL
     elif isinstance(node, Pow):
         body, mine = render(node.base, _PREC_ATOM) + f"^{node.exponent}", _PREC_POW
     elif isinstance(node, Call):
@@ -316,7 +309,7 @@ def render(node, prec: int = 0) -> str:
 def _as_function(w: PlaneElement) -> XPoly:
     if w.degree() != 0:
         raise EvalError("operator expects an element of the x-subalgebra")
-    return w.row(0)
+    return w.component(0)
 
 
 _BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
@@ -349,20 +342,15 @@ def evaluate(node, order: int) -> PlaneElement:
     if isinstance(node, Call):
         inner = evaluate(node.arg, order)
         if node.fn == "d":
-            return from_extension(differential(to_extension(inner)))
-        r = partial_derivative(_as_function(inner))
-        return _xpoly_to_plane(r)
+            return differential(inner)
+        return ExtElement.embed(inner.carrier, partial_derivative(_as_function(inner)))
     if isinstance(node, CovD):
         if not 1 <= node.k <= order - 1:
             raise EvalError(f"D index must lie in 1..{order - 1}")
         inner = evaluate(node.arg, order)
         op = covariant_operator(q_plane_families(order), node.k)
-        return _xpoly_to_plane(op(_as_function(inner)))
+        return ExtElement.embed(inner.carrier, op(_as_function(inner)))
     raise TypeError(f"not an AST node: {node!r}")
-
-
-def _xpoly_to_plane(r: XPoly) -> PlaneElement:
-    return from_extension(ExtElement.embed(XPolyCarrier(r.order), r))
 
 
 # -- JSON encoding -------------------------------------------------------------------
@@ -383,7 +371,7 @@ def xpoly_json(r: XPoly) -> list[list[dict]]:
 def element_json(w: PlaneElement) -> dict:
     return {
         "order": w.order,
-        "coeffs": [[scalar_json(c) for c in row] for row in w.grid],
+        "coeffs": [xpoly_json(row) for row in w.components],
     }
 
 
@@ -506,7 +494,7 @@ def cmd_diff(args) -> int:
     w = evaluate(parse(args.expr), args.order)
     n = args.order
     fam = q_plane_families(n)
-    dxi = differential(to_extension(w))
+    dxi = differential(w)
     terms = [
         (f.degree, f.coeff if f.degree == 0 else fam.dx_pow_inv[f.degree - 1] * f.coeff)
         for f in dxi.forms()
@@ -516,7 +504,7 @@ def cmd_diff(args) -> int:
         if args.json:
             payload = {
                 "order": n,
-                "element": element_json(from_extension(dxi)),
+                "element": element_json(dxi),
                 "dx_form": [{"degree": m, "coeff": xpoly_json(r)} for m, r in terms],
             }
             return json.dumps(payload)

@@ -143,10 +143,8 @@ class CycScalar:
 
     @staticmethod
     def q_power(order: int, k: int) -> CycScalar:
-        """The canonical form of q**k for any integer k."""
-        _, _, powers = _context(order)
-        row = powers[k % order]
-        return CycScalar(order, tuple(Fraction(c) for c in row))
+        """The canonical form of q**k for any integer k, shared like zero."""
+        return _q_powers(order)[k % order]
 
     # -- ring structure ----------------------------------------------------
 
@@ -297,6 +295,13 @@ class CycScalar:
                     body = f"{c}*{mono}"
             parts.append(body)
         return join_terms(parts)
+
+
+@functools.lru_cache(maxsize=None)
+def _q_powers(order: int) -> tuple[CycScalar, ...]:
+    """q**0 .. q**(order-1) as scalars, built once per order."""
+    _, _, powers = _context(order)
+    return tuple(CycScalar(order, tuple(Fraction(c) for c in row)) for row in powers)
 
 
 def power(base, k: int, one):

@@ -34,7 +34,9 @@ class CarrierAlgebra(ABC):
     ``order`` is N; ``tau_sign`` the sign s in tau**N = s*1.  ``q_element(k)``
     embeds the scalar q**k into the carrier, which keeps the grading code
     generic over the scalar field (cyclotomic for the quantum plane, plain
-    rational for the quaternion instance where q = -1).
+    rational for the quaternion instance where q = -1).  ``element`` builds
+    every extension element over the carrier, so a carrier can give its
+    elements a subclass of ExtElement.
     """
 
     order: int
@@ -62,6 +64,10 @@ class CarrierAlgebra(ABC):
         for _ in range(k % self.order):
             u = self.phi(u)
         return u
+
+    def element(self, components) -> ExtElement:
+        """The extension element with these components; every result is built here."""
+        return ExtElement(self, components)
 
 
 class KForm:
@@ -133,17 +139,20 @@ class ExtElement:
 
     @staticmethod
     def from_component(carrier: CarrierAlgebra, k: int, u) -> ExtElement:
+        """tau**k u, with tau**N folded as in KForm."""
+        f = KForm(carrier, k, u)
         comps = [carrier.zero()] * carrier.order
-        comps[k % carrier.order] = u
-        return ExtElement(carrier, comps)
+        comps[f.degree] = f.coeff
+        return carrier.element(comps)
 
     @staticmethod
     def from_forms(carrier: CarrierAlgebra, forms) -> ExtElement:
         """The sum of homogeneous forms over one carrier."""
-        comps = [carrier.zero()] * carrier.order
+        comps = [None] * carrier.order
         for f in forms:
-            comps[f.degree] = comps[f.degree] + f.coeff
-        return ExtElement(carrier, comps)
+            u = comps[f.degree]
+            comps[f.degree] = f.coeff if u is None else u + f.coeff
+        return carrier.element(carrier.zero() if u is None else u for u in comps)
 
     @staticmethod
     def embed(carrier: CarrierAlgebra, u) -> ExtElement:
@@ -151,7 +160,7 @@ class ExtElement:
 
     @staticmethod
     def zero(carrier: CarrierAlgebra) -> ExtElement:
-        return ExtElement(carrier, [carrier.zero()] * carrier.order)
+        return carrier.element([carrier.zero()] * carrier.order)
 
     @staticmethod
     def one(carrier: CarrierAlgebra) -> ExtElement:
@@ -170,10 +179,10 @@ class ExtElement:
 
     def __add__(self, other: ExtElement) -> ExtElement:
         self._check(other)
-        return ExtElement(self.carrier, (a + b for a, b in zip(self.components, other.components)))
+        return self.carrier.element(a + b for a, b in zip(self.components, other.components))
 
     def __neg__(self) -> ExtElement:
-        return ExtElement(self.carrier, (-a for a in self.components))
+        return self.carrier.element(-a for a in self.components)
 
     def __sub__(self, other: ExtElement) -> ExtElement:
         return self + (-other)
@@ -184,12 +193,12 @@ class ExtElement:
         return ExtElement.from_forms(self.carrier, (a * b for a in self.forms() for b in right))
 
     def scale(self, coeff) -> ExtElement:
-        return ExtElement(self.carrier, (u.scale(coeff) for u in self.components))
+        return self.carrier.element(u.scale(coeff) for u in self.components)
 
     def scale_by_q(self, k: int) -> ExtElement:
         """Multiply by the central scalar q**k."""
         qk = self.carrier.q_element(k)
-        return ExtElement(self.carrier, (qk * u for u in self.components))
+        return self.carrier.element(qk * u for u in self.components)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExtElement):
@@ -224,7 +233,7 @@ class ExtElement:
 
 
 def tau(carrier: CarrierAlgebra, power: int = 1) -> ExtElement:
-    """tau**power as an extension element (power taken mod N, no sign fold)."""
+    """tau**power as an extension element; tau**N folds to tau_sign."""
     return ExtElement.from_component(carrier, power, carrier.one())
 
 

@@ -3,8 +3,8 @@
 Generators x, y satisfy x y = q y x and x**N = y**N = 1, so the monomials
 y**k x**l (0 <= k, l < N) form a basis.  The subalgebra generated by x is the
 carrier of a semi-commutative Galois extension with tau = y and twisting
-endomorphism x -> q x; the whole plane is recovered as that extension, with
-the y-degree as the grading.
+endomorphism x -> q x; ``PlaneElement`` is that extension, with the y-degree
+as the grading and the extension's twisted product as its product.
 
 Also provides the faithful N x N matrix representation
 x -> diag(1, q**-1, ..., q**-(N-1)) and y -> the cyclic shift matrix, which
@@ -144,9 +144,11 @@ class XPoly:
     def twist(self, k: int = 1) -> XPoly:
         """Substitute x -> q**k x (the endomorphism transporting r across y**k)."""
         n = self.order
+        if k % n == 0:
+            return self
         return XPoly(
             n,
-            (CycScalar.q_power(n, k * l) * c for l, c in enumerate(self.coeffs)),
+            (CycScalar.q_power(n, k * l) * c if c else c for l, c in enumerate(self.coeffs)),
         )
 
     def evaluate_at_q_power(self, j: int) -> CycScalar:
@@ -209,6 +211,9 @@ class XPolyCarrier(CarrierAlgebra):
     def q_element(self, k: int):
         return XPoly.from_scalar(self.order, CycScalar.q_power(self.order, k))
 
+    def element(self, components) -> PlaneElement:
+        return PlaneElement(self.order, components)
+
     def x(self) -> XPoly:
         return XPoly.x(self.order)
 
@@ -222,30 +227,36 @@ class XPolyCarrier(CarrierAlgebra):
         return f"XPolyCarrier(order={self.order})"
 
 
-class PlaneElement:
-    """sum_{k,l} c_{kl} y**k x**l; ``grid[k][l]`` is the coefficient of y**k x**l."""
+class PlaneElement(ExtElement):
+    """sum_k y**k u_k(x): the extension over the x-subalgebra with tau = y.
 
-    __slots__ = ("order", "grid")
+    Component k is the coefficient of y**k; it may be given as an ``XPoly`` or
+    as the N scalar coefficients of x**0 .. x**(N-1).  Scalars and ``XPoly``
+    operands are lifted into the plane.
+    """
 
-    def __init__(self, order: int, grid):
-        grid = tuple(tuple(row) for row in grid)
-        if len(grid) != order or any(len(row) != order for row in grid):
-            raise ValueError("coefficient grid must be N x N")
-        self.order = order
-        self.grid = grid
+    __slots__ = ()
+
+    def __init__(self, order: int, rows):
+        super().__init__(
+            XPolyCarrier(order), (r if isinstance(r, XPoly) else XPoly(order, r) for r in rows)
+        )
+
+    @property
+    def order(self) -> int:
+        return self.carrier.order
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
     def zero(order: int) -> PlaneElement:
-        z = CycScalar.zero(order)
-        return PlaneElement(order, ((z,) * order,) * order)
+        return ExtElement.zero(XPolyCarrier(order))
 
     @staticmethod
     def monomial(order: int, ydeg: int, xdeg: int, coeff=1) -> PlaneElement:
-        rows = [[CycScalar.zero(order)] * order for _ in range(order)]
-        rows[ydeg % order][xdeg % order] = _as_scalar(order, coeff)
-        return PlaneElement(order, rows)
+        return ExtElement.from_component(
+            XPolyCarrier(order), ydeg, XPoly.monomial(order, xdeg, coeff)
+        )
 
     @staticmethod
     def one(order: int) -> PlaneElement:
@@ -263,85 +274,57 @@ class PlaneElement:
     def from_scalar(order: int, value) -> PlaneElement:
         return PlaneElement.monomial(order, 0, 0, value)
 
-    @staticmethod
-    def from_rows(order: int, rows: list[XPoly]) -> PlaneElement:
-        return PlaneElement(order, (r.coeffs for r in rows))
-
     # -- ring operations -----------------------------------------------------
 
-    def _coerce(self, other) -> "PlaneElement | None":
-        if isinstance(other, PlaneElement):
-            if other.order != self.order:
-                raise ValueError("order mismatch")
+    def _coerce(self, other) -> "ExtElement | None":
+        if isinstance(other, ExtElement):
             return other
         if isinstance(other, _SCALARS):
             return PlaneElement.from_scalar(self.order, other)
         if isinstance(other, XPoly):
-            return from_extension(ExtElement.embed(XPolyCarrier(self.order), other))
+            if other.order != self.order:
+                raise ValueError("order mismatch")
+            return ExtElement.embed(self.carrier, other)
         return None
+
+    # The reflected operators call ExtElement's directly: ``o * self`` would
+    # come back here, since Python tries a subclass's reflected operator first.
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return PlaneElement(
-            self.order,
-            ((a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.grid, o.grid)),
-        )
+        return ExtElement.__add__(self, o)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return PlaneElement(self.order, ((-a for a in row) for row in self.grid))
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return ExtElement.__sub__(self, o)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o - self
+        return ExtElement.__sub__(o, self)
 
     def __mul__(self, other):
-        """(y**a x**b)(y**c x**d) = q**(b c) y**(a+c) x**(b+d), extended bilinearly."""
+        """(y**a x**b)(y**c x**d) = q**(b c) y**(a+c) x**(b+d): the extension's product."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = self.order
-        out = [[CycScalar.zero(n)] * n for _ in range(n)]
-        for a in range(n):
-            row = self.grid[a]
-            for b in range(n):
-                alpha = row[b]
-                if not alpha:
-                    continue
-                for c in range(n):
-                    orow = o.grid[c]
-                    qbc = CycScalar.q_power(n, b * c)
-                    left = alpha * qbc
-                    for d in range(n):
-                        beta = orow[d]
-                        if beta:
-                            i, j = (a + c) % n, (b + d) % n
-                            out[i][j] = out[i][j] + left * beta
-        return PlaneElement(n, out)
+        return ExtElement.__mul__(self, o)
 
     def __rmul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o * self
+        return ExtElement.__mul__(o, self)
 
     def __pow__(self, k: int):
         return power(self, k, PlaneElement.one(self.order))
-
-    def scale(self, coeff) -> PlaneElement:
-        c = _as_scalar(self.order, coeff)
-        return PlaneElement(self.order, ((c * a for a in row) for row in self.grid))
 
     def __eq__(self, other) -> bool:
         try:
@@ -350,30 +333,12 @@ class PlaneElement:
             return False
         if o is None:
             return NotImplemented
-        return self.grid == o.grid
-
-    __hash__ = None
-
-    def is_zero(self) -> bool:
-        return all(not c for row in self.grid for c in row)
-
-    # -- grading -------------------------------------------------------------
-
-    def row(self, k: int) -> XPoly:
-        """The coefficient of y**k as an element of the x-subalgebra."""
-        return XPoly(self.order, self.grid[k % self.order])
-
-    def is_homogeneous(self) -> bool:
-        return to_extension(self).is_homogeneous()
-
-    def degree(self) -> int | None:
-        """The y-degree of a homogeneous element; 0 for zero; None if mixed."""
-        return to_extension(self).degree()
+        return ExtElement.__eq__(self, o)
 
     def __str__(self):
         terms = []
-        for k, row in enumerate(self.grid):
-            for l, c in enumerate(row):
+        for k, row in enumerate(self.components):
+            for l, c in enumerate(row.coeffs):
                 if c:
                     mono = "*".join(p for p in (_monomial_str("y", k), _monomial_str("x", l)) if p)
                     terms.append((c, mono))
@@ -381,17 +346,6 @@ class PlaneElement:
 
     def __repr__(self):
         return f"PlaneElement({self.order}, {self!s})"
-
-
-def to_extension(w: PlaneElement) -> ExtElement:
-    """View a plane element as sum_k y**k u_k(x) over the x-subalgebra."""
-    return ExtElement(XPolyCarrier(w.order), (w.row(k) for k in range(w.order)))
-
-
-def from_extension(xi: ExtElement) -> PlaneElement:
-    if not isinstance(xi.carrier, XPolyCarrier):
-        raise ValueError("element does not live over the x-subalgebra")
-    return PlaneElement.from_rows(xi.carrier.order, list(xi.components))
 
 
 # -- matrix representation ----------------------------------------------------
@@ -484,7 +438,7 @@ def represent(w: PlaneElement) -> RepMatrix:
     """
     n = w.order
     return RepMatrix(
-        n, ((w.row(j - i).evaluate_at_q_power(-j) for j in range(n)) for i in range(n))
+        n, ((w.component(j - i).evaluate_at_q_power(-j) for j in range(n)) for i in range(n))
     )
 
 

@@ -45,7 +45,6 @@ from .qplane import (
     generator_matrices,
     represent,
     scalar_rank,
-    to_extension,
 )
 from . import quaternion as quat
 
@@ -269,6 +268,7 @@ def _rand_coordinate(rng: random.Random, carrier: XPolyCarrier) -> XPoly:
 def qplane_suite(order: int, rng: random.Random, cases: int) -> list[CheckResult]:
     out = []
     n = order
+    carrier = XPolyCarrier(n)
     x, y, one = PlaneElement.x(n), PlaneElement.y(n), PlaneElement.one(n)
     q = CycScalar.q(n)
 
@@ -299,9 +299,7 @@ def qplane_suite(order: int, rng: random.Random, cases: int) -> list[CheckResult
             r = _rand_xpoly(rng, n)
             k = rng.randrange(n)
             yk = PlaneElement.y(n) ** k
-            rows = [XPoly.zero(n)] * n
-            rows[k % n] = r.twist(k)
-            yield r * yk - PlaneElement.from_rows(n, rows)
+            yield r * yk - ExtElement.from_component(carrier, k, r.twist(k))
 
     out.append(_all_zero("qplane.twist_transport", twist_law()))
 
@@ -348,8 +346,6 @@ def qplane_suite(order: int, rng: random.Random, cases: int) -> list[CheckResult
             )
 
     out.append(_all_zero("qplane.delta_q_rules", delta_q_props()))
-
-    carrier = XPolyCarrier(n)
 
     def carrier_diff():
         for _ in range(cases):

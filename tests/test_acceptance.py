@@ -43,7 +43,6 @@ from qgalois import (
     conjugation_dx,
     differential,
     from_dx_basis,
-    from_extension,
     higher_delta,
     higher_delta_closed,
     higher_differential_of_x,
@@ -53,7 +52,6 @@ from qgalois import (
     q_plane_families,
     represent,
     right_derivative,
-    to_extension,
 )
 from qgalois.qplane import basis_matrices, scalar_rank
 from qgalois.quaternion import (
@@ -107,7 +105,7 @@ def test_criterion_01_nilpotency():
     detail = ""
     for order in ORDERS:
         for _ in range(100):
-            xi = to_extension(rand_plane(rng, order))
+            xi = rand_plane(rng, order)
             for _ in range(order):
                 xi = differential(xi)
             if not xi.is_zero():
@@ -115,10 +113,10 @@ def test_criterion_01_nilpotency():
                 detail = f"d^{order} != 0 at order {order}"
                 break
         # witness below the top power: d^(N-1) x = N y^(N-1) x != 0
-        w = to_extension(PlaneElement.x(order))
+        w = PlaneElement.x(order)
         for _ in range(order - 1):
             w = differential(w)
-        if from_extension(w) != PlaneElement.monomial(order, order - 1, 1, order):
+        if w != PlaneElement.monomial(order, order - 1, 1, order):
             ok = False
             detail = f"missing d^(N-1) witness at order {order}"
     elapsed = time.monotonic() - started
@@ -139,7 +137,7 @@ def test_criterion_02_graded_q_leibniz():
         for _ in range(100):
             l = rng.randrange(order)
             u = ExtElement.from_component(c, l, rand_xpoly(rng, order, 4))
-            v = to_extension(rand_plane(rng, order, 4))
+            v = rand_plane(rng, order, 4)
             lhs = differential(u * v)
             rhs = differential(u) * v + (u * differential(v)).scale_by_q(l)
             if lhs != rhs:

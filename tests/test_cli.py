@@ -289,6 +289,27 @@ def test_long_flat_chains_evaluate(capsys):
     assert capsys.readouterr().out == "-2999*x\n"
 
 
+def _left_spine(node):
+    """A left-nested chain as (operator, right operand) pairs plus its first operand.
+
+    Dataclass == on the chain itself recurses once per level, past the recursion limit.
+    """
+    spine = []
+    while isinstance(node, (Add, Sub, Mul)):
+        spine.append((type(node), node.right))
+        node = node.left
+    return spine, node
+
+
+@pytest.mark.parametrize("sep", [" + ", "*"])
+def test_long_flat_chains_render(sep):
+    src = sep.join(["x"] * 3001)
+    tree = parse(src)
+    text = render(tree)
+    assert text == src
+    assert _left_spine(parse(text)) == _left_spine(tree)
+
+
 def test_huge_exponent_ends_quickly():
     # x^N = 1 and 10^8 = 1 mod 3, so the power is x itself
     proc = subprocess.run(

@@ -25,6 +25,7 @@ from qgalois import (
     right_derivative,
     tau,
 )
+from qgalois.quaternion import CARRIER, QUAT_I, QUAT_ONE
 
 
 def rand_xpoly(rng, order, span=6):
@@ -52,6 +53,10 @@ def test_tau_power_product_wraps_to_unit():
     for order in (2, 3, 5):
         c = XPolyCarrier(order)
         assert tau(c) * tau(c, order - 1) == ExtElement.one(c)
+    # tau**N folds to tau_sign: i**2 = -1 and i**3 = -i over the quaternion carrier
+    assert tau(CARRIER, 2) == -QUAT_ONE
+    assert tau(CARRIER, 3) == -QUAT_I
+    assert ExtElement.from_component(CARRIER, 3, CARRIER.one()) == -QUAT_I
 
 
 def test_component_count_is_enforced():

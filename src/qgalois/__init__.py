@@ -44,7 +44,6 @@ from .qplane import (
     represent,
 )
 from .quaternion import (
-    ComplexRational,
     ConjugationCarrier,
     from_quaternion,
     linear_decomposition,
@@ -55,7 +54,6 @@ from .quaternion import (
 __all__ = [
     "CarrierAlgebra",
     "CheckResult",
-    "ComplexRational",
     "ConjugationCarrier",
     "CycScalar",
     "ExtElement",

@@ -189,15 +189,22 @@ def partial_derivative(r: XPoly) -> XPoly:
     return XPoly.monomial(n, n - 1, lead) * dq
 
 
+@functools.lru_cache(maxsize=None)
+def _delta_q_x_inverse(order: int) -> XPoly:
+    """(Delta_q x)**-1 with Delta_q x = (1-q) x, inverted once per order."""
+    return XPoly.x(order).scale(CycScalar.one(order) - CycScalar.q(order)).inverse()
+
+
 def higher_delta(k: int, r: XPoly) -> XPoly:
     """Degree-k twisted difference quotient, definition route.
 
-    (Delta_q x)**-1 (q**-k r - q**k r(qx)), where Delta_q x = (1-q) x.
+    (Delta_q x)**-1 (q**-k r - q**k r(qx)), where Delta_q x = (1-q) x.  The
+    inverse comes from XPoly.inverse, not from partial_derivative's closed
+    form, so the two routes stay independent.
     """
     n = r.order
-    dqx = XPoly.x(n).scale(CycScalar.one(n) - CycScalar.q(n))
     lhs = r.scale(CycScalar.q_power(n, -k)) - r.twist(1).scale(CycScalar.q_power(n, k))
-    return dqx.inverse() * lhs
+    return _delta_q_x_inverse(n) * lhs
 
 
 def higher_delta_closed(k: int, r: XPoly) -> XPoly:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import math
 from fractions import Fraction
 
 Rational = Fraction
@@ -221,6 +222,19 @@ class CycScalar:
         inv = [c / lead for c in s0]
         return CycScalar.from_poly(self.order, inv)
 
+    def galois(self, k: int) -> CycScalar:
+        """The automorphism sigma_k: q -> q**k of Q(q), for k coprime to the order.
+
+        Coefficient m moves to index k*m mod N, then one reduction mod Phi_N.
+        """
+        n = self.order
+        if math.gcd(k, n) != 1:
+            raise ValueError(f"q -> q^{k} is not an automorphism at order {n}")
+        moved = [_ZERO] * n
+        for m, c in enumerate(self.coeffs):
+            moved[k * m % n] = c
+        return CycScalar.from_poly(n, moved)
+
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -244,6 +258,9 @@ class CycScalar:
 
     def __bool__(self) -> bool:
         return any(self.coeffs)
+
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
 
     def __eq__(self, other) -> bool:
         try:

@@ -33,10 +33,10 @@ class CarrierAlgebra(ABC):
     ``is_zero()``; the carrier supplies what is not a plain operator.
     ``order`` is N; ``tau_sign`` the sign s in tau**N = s*1.  ``q_element(k)``
     embeds the scalar q**k into the carrier, which keeps the grading code
-    generic over the scalar field (cyclotomic for the quantum plane, plain
-    rational for the quaternion instance where q = -1).  ``element`` builds
-    every extension element over the carrier, so a carrier can give its
-    elements a subclass of ExtElement.
+    generic over how q sits in the carrier's scalar field: the generator of
+    Q(q) for the quantum plane, its square -1 in Q(i) for the quaternion
+    instance.  ``element`` builds every extension element over the carrier,
+    so a carrier can give its elements a subclass of ExtElement.
     """
 
     order: int
@@ -193,7 +193,8 @@ class ExtElement:
         return ExtElement.from_forms(self.carrier, (a * b for a in self.forms() for b in right))
 
     def scale(self, coeff) -> ExtElement:
-        return self.carrier.element(u.scale(coeff) for u in self.components)
+        """Multiply every component by a scalar, through the carrier's ``*``."""
+        return self.carrier.element(u * coeff for u in self.components)
 
     def scale_by_q(self, k: int) -> ExtElement:
         """Multiply by the central scalar q**k."""

@@ -15,12 +15,14 @@ from qgalois import (
     CycScalar,
     ExtElement,
     NonInvertibleCoordinate,
+    PlaneElement,
     XPoly,
     XPolyCarrier,
     change_of_variable,
     conjugation_dx,
     delta,
     differential,
+    from_quaternion,
     q_commutator,
     right_derivative,
     tau,
@@ -57,6 +59,15 @@ def test_tau_power_product_wraps_to_unit():
     assert tau(CARRIER, 2) == -QUAT_ONE
     assert tau(CARRIER, 3) == -QUAT_I
     assert ExtElement.from_component(CARRIER, 3, CARRIER.one()) == -QUAT_I
+
+
+def test_scale_uses_only_the_carrier_product():
+    # scale multiplies through the carrier contract's *, on both instances
+    assert QUAT_I.scale(2) == from_quaternion(0, 2, 0, 0)
+    q = CycScalar.q(3)
+    scaled = PlaneElement.x(3).scale(q)
+    assert isinstance(scaled, PlaneElement)
+    assert scaled == PlaneElement.monomial(3, 0, 1, q)
 
 
 def test_component_count_is_enforced():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from qgalois import (
-    ComplexRational,
+    CycScalar,
     NonInvertibleCoordinate,
     ExtElement,
     KForm,
@@ -53,8 +53,8 @@ def test_multiplication_table_matches_hamilton():
 def test_component_split():
     # a0 + a1 i + a2 j + a3 k = (a0 + a2 j) + i (a1 + a3 j)
     xi = quat(2, 3, 7, 5)
-    assert xi.component(0) == ComplexRational.of(2, 7)
-    assert xi.component(1) == ComplexRational.of(3, 5)
+    assert xi.component(0) == CycScalar.from_poly(4, (2, 7))
+    assert xi.component(1) == CycScalar.from_poly(4, (3, 5))
     assert to_quaternion(xi) == (2, 3, 7, 5)
 
 
@@ -93,58 +93,58 @@ def test_differential_squares_to_zero_randomized():
 def test_first_derivative_is_a_rational_constant():
     rng = random.Random(71)
     for _ in range(30):
-        u = ComplexRational.of(Fraction(rng.randint(-9, 9)), Fraction(rng.randint(-9, 9)))
-        x = ComplexRational.of(Fraction(rng.randint(-9, 9)), Fraction(rng.randint(1, 9)))
+        u = CycScalar.from_poly(4, (Fraction(rng.randint(-9, 9)), Fraction(rng.randint(-9, 9))))
+        x = CycScalar.from_poly(4, (Fraction(rng.randint(-9, 9)), Fraction(rng.randint(1, 9))))
         got = right_derivative(CARRIER, u, x)
-        assert got == ComplexRational.of(u.im / x.im)
+        assert got == CycScalar.from_poly(4, (u.coeffs[1] / x.coeffs[1],))
 
 
 def test_second_derivative_vanishes():
     rng = random.Random(73)
-    j = ComplexRational.of(0, 1)
+    j = CycScalar.from_poly(4, (0, 1))
     for _ in range(30):
-        u = ComplexRational.of(Fraction(rng.randint(-9, 9)), Fraction(rng.randint(-9, 9)))
-        x = ComplexRational.of(Fraction(rng.randint(-9, 9)), Fraction(rng.randint(1, 9)))
+        u = CycScalar.from_poly(4, (Fraction(rng.randint(-9, 9)), Fraction(rng.randint(-9, 9))))
+        x = CycScalar.from_poly(4, (Fraction(rng.randint(-9, 9)), Fraction(rng.randint(1, 9))))
         assert second_right_derivative(u, x).is_zero()
     assert second_right_derivative(j, j).is_zero()
 
 
 def test_real_coordinates_are_rejected():
-    u = ComplexRational.of(1, 2)
+    u = CycScalar.from_poly(4, (1, 2))
     with pytest.raises(NonInvertibleCoordinate):
-        second_right_derivative(u, ComplexRational.of(1, 0))
+        second_right_derivative(u, CycScalar.from_poly(4, (1, 0)))
     with pytest.raises(NonInvertibleCoordinate):
-        linear_decomposition(u, ComplexRational.of(5))
+        linear_decomposition(u, CycScalar.from_poly(4, (5,)))
 
 
 def test_linear_decomposition_is_exact():
     """Every carrier element is affine in any coordinate with a j part."""
     rng = random.Random(79)
     for _ in range(40):
-        u = ComplexRational.of(Fraction(rng.randint(-9, 9)), Fraction(rng.randint(-9, 9)))
-        x = ComplexRational.of(Fraction(rng.randint(-9, 9)), Fraction(rng.randint(1, 9)))
+        u = CycScalar.from_poly(4, (Fraction(rng.randint(-9, 9)), Fraction(rng.randint(-9, 9))))
+        x = CycScalar.from_poly(4, (Fraction(rng.randint(-9, 9)), Fraction(rng.randint(1, 9))))
         c, d = linear_decomposition(u, x)
-        rebuilt = ComplexRational.of(c) + x.scale(d)
+        rebuilt = CycScalar.from_poly(4, (c,)) + x * d
         assert rebuilt == u
-        assert d == u.im / x.im
+        assert d == u.coeffs[1] / x.coeffs[1]
 
 
 def test_families_at_order_two():
     # P_1 = Delta(j) = 2j, P_2 = 0, Q_2 = phi(2j) 2j = 4; tau^2 = -1 folds later
-    j = ComplexRational.of(0, 1)
+    j = CycScalar.from_poly(4, (0, 1))
     fam = build_families(CARRIER, j)
-    assert fam.dkx[0] == ComplexRational.of(0, 2)
+    assert fam.dkx[0] == CycScalar.from_poly(4, (0, 2))
     assert fam.dkx[1].is_zero()
-    assert fam.dx_pow[1] == ComplexRational.of(4)
+    assert fam.dx_pow[1] == CycScalar.from_poly(4, (4,))
     twisted_sum = fam.dkx[0] + CARRIER.phi(fam.dkx[0])
     assert twisted_sum.is_zero()
 
 
 def test_dx_basis_folds_tau_squared_to_minus_one():
     # x = j: dx = tau Delta(j) = i (2j) = 2k, and (2k)^2 = -4 by k^2 = -1
-    fam = build_families(CARRIER, ComplexRational.of(0, 1))
+    fam = build_families(CARRIER, CycScalar.from_poly(4, (0, 1)))
     dx = KForm(CARRIER, 1, fam.delta_x)
-    dx_squared = from_dx_basis(fam, 2, ComplexRational.of(1))
+    dx_squared = from_dx_basis(fam, 2, CycScalar.from_poly(4, (1,)))
     assert dx_squared == dx * dx
     assert dx_squared.degree == 0
     assert to_quaternion(ExtElement.from_forms(CARRIER, [dx_squared])) == (-4, 0, 0, 0)

@@ -27,11 +27,8 @@ from .cyclotomic import CycScalar
 from .galois import (
     CarrierAlgebra,
     KForm,
-    NonInvertibleCoordinate,
-    NotInvertible,
-    conjugation_dx,
     delta,
-    right_derivative,
+    delta_inverse,
 )
 from .qplane import XPoly, XPolyCarrier
 
@@ -50,7 +47,8 @@ class CheckResult:
 
 @dataclass
 class PolyFamilies:
-    """The coordinate families over one carrier and coordinate."""
+    """The coordinate families over one carrier and coordinate; every inverse
+    comes from the one Delta(x)**-1 = dx_pow_inv[0] by phi-transport."""
 
     carrier: CarrierAlgebra
     x: Any
@@ -66,42 +64,28 @@ class PolyFamilies:
 
 
 def build_families(carrier: CarrierAlgebra, x) -> PolyFamilies:
-    """Compute all families; raises NonInvertibleCoordinate if Delta(x) or any
-    of its phi-images cannot be inverted."""
+    """All families from one inversion of Delta(x); raises
+    NonInvertibleCoordinate when Delta(x) has no inverse.
+
+    phi**N = id makes phi an automorphism, so each phi**k(Delta(x)) is invertible
+    with inverse phi**k(Delta(x)**-1): Q_{k+1}**-1 = Delta(x)**-1 phi(Q_k**-1).
+    """
     n = carrier.order
     dx = delta(carrier, x)
-    twisted = [dx]
-    for _ in range(n - 1):
-        twisted.append(carrier.phi(twisted[-1]))
-    try:
-        twisted_inv = [carrier.invert(t) for t in twisted]
-    except NotInvertible as exc:
-        raise NonInvertibleCoordinate(
-            "coordinate difference chain is not invertible"
-        ) from exc
+    dx_inv = delta_inverse(carrier, x)
 
-    dx_pow = [dx]
+    dx_pow, dx_pow_inv, dkx = [dx], [dx_inv], [dx]
     for k in range(1, n):
         dx_pow.append(carrier.phi(dx_pow[-1]) * dx)
-
-    # (Q_k)**-1 = Delta(x)**-1 phi(Delta(x))**-1 ... phi**(k-1)(Delta(x))**-1
-    dx_pow_inv = []
-    acc = twisted_inv[0]
-    dx_pow_inv.append(acc)
-    for k in range(1, n):
-        acc = acc * twisted_inv[k]
-        dx_pow_inv.append(acc)
-
-    dkx = [dx]
-    for k in range(1, n):
-        prev = dkx[-1]
-        dkx.append(prev - carrier.q_element(k) * carrier.phi(prev))
+        dx_pow_inv.append(dx_inv * carrier.phi(dx_pow_inv[-1]))
+        dkx.append(dkx[-1] - carrier.q_element(k) * carrier.phi(dkx[-1]))
 
     phi1 = dx_pow_inv[1] * dkx[1]
     connection = [phi1]
     for k in range(1, n - 1):
+        # conjugation_dx(Phi_k) + q**k Phi_1, with Delta(x)**-1 already at hand
         connection.append(
-            conjugation_dx(carrier, connection[-1], x) + carrier.q_element(k) * phi1
+            dx_inv * carrier.phi(connection[-1]) * dx + carrier.q_element(k) * phi1
         )
 
     return PolyFamilies(
@@ -159,10 +143,11 @@ def covariant_operator(fam: PolyFamilies, k: int) -> Callable[[Any], Any]:
         raise ValueError("k must lie in 1..N-1")
     c = fam.carrier
     qk = c.q_element(k)
+    dx_inv = fam.dx_pow_inv[0]
     phik = fam.connection[k - 1]
 
     def apply(u):
-        return qk * right_derivative(c, u, fam.x) + phik * u
+        return qk * (dx_inv * delta(c, u)) + phik * u
 
     return apply
 
@@ -189,22 +174,16 @@ def partial_derivative(r: XPoly) -> XPoly:
     return XPoly.monomial(n, n - 1, lead) * dq
 
 
-@functools.lru_cache(maxsize=None)
-def _delta_q_x_inverse(order: int) -> XPoly:
-    """(Delta_q x)**-1 with Delta_q x = (1-q) x, inverted once per order."""
-    return XPoly.x(order).scale(CycScalar.one(order) - CycScalar.q(order)).inverse()
-
-
 def higher_delta(k: int, r: XPoly) -> XPoly:
     """Degree-k twisted difference quotient, definition route.
 
     (Delta_q x)**-1 (q**-k r - q**k r(qx)), where Delta_q x = (1-q) x.  The
-    inverse comes from XPoly.inverse, not from partial_derivative's closed
-    form, so the two routes stay independent.
+    inverse is the families' Delta(x)**-1, computed by XPoly.inverse, not
+    partial_derivative's closed form, so the two routes stay independent.
     """
     n = r.order
     lhs = r.scale(CycScalar.q_power(n, -k)) - r.twist(1).scale(CycScalar.q_power(n, k))
-    return _delta_q_x_inverse(n) * lhs
+    return q_plane_families(n).dx_pow_inv[0] * lhs
 
 
 def higher_delta_closed(k: int, r: XPoly) -> XPoly:

@@ -23,7 +23,13 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .calculus import covariant_operator, delta_coefficient, partial_derivative, q_plane_families
+from .calculus import (
+    covariant_operator,
+    delta_coefficient,
+    partial_derivative,
+    q_plane_families,
+    to_dx_basis,
+)
 from .cyclotomic import CycScalar
 from .galois import ExtElement, NotInvertible, differential
 from .qplane import PlaneElement, RepMatrix, XPoly, represent
@@ -495,10 +501,7 @@ def cmd_diff(args) -> int:
     n = args.order
     fam = q_plane_families(n)
     dxi = differential(w)
-    terms = [
-        (f.degree, f.coeff if f.degree == 0 else fam.dx_pow_inv[f.degree - 1] * f.coeff)
-        for f in dxi.forms()
-    ]
+    terms = [(f.degree, to_dx_basis(f, fam)) for f in dxi.forms()]
 
     def output() -> str:
         if args.json:

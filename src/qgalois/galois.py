@@ -178,6 +178,8 @@ class ExtElement:
         return [KForm(c, k, u) for k, u in enumerate(self.components) if not u.is_zero()]
 
     def __add__(self, other: ExtElement) -> ExtElement:
+        if not isinstance(other, ExtElement):
+            return NotImplemented
         self._check(other)
         return self.carrier.element(a + b for a, b in zip(self.components, other.components))
 
@@ -185,9 +187,13 @@ class ExtElement:
         return self.carrier.element(-a for a in self.components)
 
     def __sub__(self, other: ExtElement) -> ExtElement:
+        if not isinstance(other, ExtElement):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other: ExtElement) -> ExtElement:
+        if not isinstance(other, ExtElement):
+            return NotImplemented
         self._check(other)
         right = other.forms()
         return ExtElement.from_forms(self.carrier, (a * b for a in self.forms() for b in right))
@@ -265,7 +271,8 @@ def delta(carrier: CarrierAlgebra, u):
     return u - carrier.phi(u)
 
 
-def _delta_inverse(carrier: CarrierAlgebra, x):
+def delta_inverse(carrier: CarrierAlgebra, x):
+    """Delta(x)**-1; raises NonInvertibleCoordinate when there is none."""
     try:
         return carrier.invert(delta(carrier, x))
     except NotInvertible as exc:
@@ -276,7 +283,7 @@ def _delta_inverse(carrier: CarrierAlgebra, x):
 
 def right_derivative(carrier: CarrierAlgebra, u, x):
     """du/dx = Delta(x)**-1 Delta(u); needs Delta(x) invertible."""
-    return _delta_inverse(carrier, x) * delta(carrier, u)
+    return delta_inverse(carrier, x) * delta(carrier, u)
 
 
 def conjugation_dx(carrier: CarrierAlgebra, u, x):
@@ -286,7 +293,7 @@ def conjugation_dx(carrier: CarrierAlgebra, u, x):
     u * dx = dx * conjugation_dx(u).  It is an algebra endomorphism.
     """
     dx = delta(carrier, x)
-    return _delta_inverse(carrier, x) * carrier.phi(u) * dx
+    return delta_inverse(carrier, x) * carrier.phi(u) * dx
 
 
 def change_of_variable(carrier: CarrierAlgebra, y, x):

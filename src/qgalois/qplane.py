@@ -102,6 +102,8 @@ class XPoly:
         return o - self
 
     def __mul__(self, other):
+        if isinstance(other, _SCALARS):
+            return self.scale(other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -122,8 +124,9 @@ class XPoly:
         return power(self, k, XPoly.one(self.order))
 
     def scale(self, coeff) -> XPoly:
+        """Multiply every coefficient by a scalar; zero coefficients are kept as they are."""
         c = _as_scalar(self.order, coeff)
-        return XPoly(self.order, (c * a for a in self.coeffs))
+        return XPoly(self.order, (c * a if a else a for a in self.coeffs))
 
     def __eq__(self, other) -> bool:
         try:

@@ -31,6 +31,7 @@ from .galois import (
     NotInvertible,
     conjugation_dx,
     delta,
+    delta_inverse,
     differential,
     q_commutator,
     right_derivative,
@@ -70,11 +71,12 @@ def _rand_xpoly(rng: random.Random, order: int, terms: int = 2) -> XPoly:
     return acc
 
 
-def _rand_invertible_xpoly(rng: random.Random, order: int) -> XPoly:
+def _rand_invertible(rng: random.Random, order: int, invert) -> XPoly:
+    """A random element r for which invert(r) does not raise NotInvertible."""
     while True:
         r = _rand_xpoly(rng, order)
         try:
-            r.inverse()
+            invert(r)
         except NotInvertible:
             continue
         return r
@@ -242,7 +244,7 @@ def galois_suite(order: int, rng: random.Random, cases: int) -> list[CheckResult
 
     def chain():
         for _ in range(cases):
-            z = _rand_coordinate(rng, carrier)
+            z = _rand_invertible(rng, n, lambda u: delta_inverse(carrier, u))
             u = _rand_xpoly(rng, n)
             yield right_derivative(carrier, u, x) - right_derivative(carrier, z, x) * right_derivative(carrier, u, z)
             dz_dx, dx_dz = right_derivative(carrier, z, x), right_derivative(carrier, x, z)
@@ -250,18 +252,6 @@ def galois_suite(order: int, rng: random.Random, cases: int) -> list[CheckResult
 
     out.append(_all_zero("galois.change_of_variable_chain", chain()))
     return out
-
-
-def _rand_coordinate(rng: random.Random, carrier: XPolyCarrier) -> XPoly:
-    """A random element whose difference Delta(z) is invertible."""
-    n = carrier.order
-    while True:
-        z = _rand_xpoly(rng, n)
-        try:
-            carrier.invert(delta(carrier, z))
-        except NotInvertible:
-            continue
-        return z
 
 
 def qplane_suite(order: int, rng: random.Random, cases: int) -> list[CheckResult]:
@@ -304,7 +294,7 @@ def qplane_suite(order: int, rng: random.Random, cases: int) -> list[CheckResult
 
     def inv_round():
         for _ in range(cases):
-            r = _rand_invertible_xpoly(rng, n)
+            r = _rand_invertible(rng, n, XPoly.inverse)
             yield r * r.inverse() - XPoly.one(n)
 
     out.append(_all_zero("qplane.x_inverse_round_trip", inv_round()))

@@ -19,12 +19,14 @@ from qgalois import (
     CycScalar,
     ExtElement,
     KForm,
+    NonInvertibleCoordinate,
     PlaneElement,
     XPoly,
     XPolyCarrier,
     build_families,
     conjugation_dx,
     covariant_operator,
+    delta,
     delta_coefficient,
     differential,
     from_dx_basis,
@@ -39,6 +41,7 @@ from qgalois import (
     right_derivative,
     to_dx_basis,
 )
+from qgalois.quaternion import CARRIER
 
 ORDERS = (2, 3, 4, 5, 6)
 
@@ -387,3 +390,71 @@ def test_exact_one_forms_at_order_two_close():
         r = rand_xpoly(rng, 2)
         ddr = KForm(fam.carrier, 0, r).differential().differential()
         assert ddr.is_zero()
+
+
+def _random_coordinate_families(rng, order):
+    """Families of a seeded random 2-term coordinate with invertible Delta."""
+    c = XPolyCarrier(order)
+    while True:
+        x = XPoly.zero(order)
+        for _ in range(2):
+            coeff = CycScalar.from_poly(order, (rng.randint(-3, 3), Fraction(rng.randint(-3, 3), 2)))
+            x = x + XPoly.monomial(order, rng.randrange(order), coeff)
+        try:
+            return build_families(c, x)
+        except NonInvertibleCoordinate:
+            continue
+
+
+def _check_families(fam):
+    c, n = fam.carrier, fam.order
+    for k in range(n):
+        assert fam.dx_pow[k] * fam.dx_pow_inv[k] == c.one(), f"Q_{k + 1}"
+    for k in range(1, n - 1):
+        expected = conjugation_dx(c, fam.connection[k - 1], fam.x) + c.q_element(k) * fam.connection[0]
+        assert fam.connection[k] == expected, f"Phi_{k + 1}"
+    for k in range(1, n):
+        lhs = from_dx_basis(fam, k, c.one()).differential()
+        assert lhs == from_dx_basis(fam, k + 1, fam.connection[k - 1]), f"d((dx)^{k})"
+
+
+@pytest.mark.parametrize("order", range(2, 9))
+def test_families_of_random_coordinates(order):
+    rng = random.Random(211 + order)
+    for _ in range(2):
+        _check_families(_random_coordinate_families(rng, order))
+
+
+def test_families_of_quaternion_coordinates():
+    for x in (CycScalar.from_poly(4, (0, 1)), CycScalar.from_poly(4, (Fraction(3, 2), -2))):
+        _check_families(build_families(CARRIER, x))
+
+
+def test_non_invertible_coordinates_are_rejected():
+    c3 = XPolyCarrier(3)
+    x = XPoly.x(3)
+    # Delta(x + x^2) is nonzero but vanishes at a root of x^3 - 1
+    assert not delta(c3, x + x * x).is_zero()
+    with pytest.raises(NonInvertibleCoordinate):
+        build_families(c3, x + x * x)
+    for order in (2, 5):
+        with pytest.raises(NonInvertibleCoordinate):
+            build_families(XPolyCarrier(order), XPoly.one(order))
+    with pytest.raises(NonInvertibleCoordinate):
+        build_families(CARRIER, CycScalar.from_poly(4, (3,)))
+
+
+@pytest.mark.parametrize("order", range(2, 9))
+def test_families_invert_once(order, monkeypatch):
+    calls = []
+    inverse = XPoly.inverse
+
+    def counted(r):
+        calls.append(r)
+        return inverse(r)
+
+    monkeypatch.setattr(XPoly, "inverse", counted)
+    fam = q_plane_families.__wrapped__(order)
+    monkeypatch.undo()
+    assert calls == [fam.delta_x]
+    assert fam.dx_pow_inv == q_plane_families(order).dx_pow_inv

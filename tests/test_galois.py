@@ -290,3 +290,22 @@ def test_constant_coordinates_are_rejected():
         right_derivative(c, c.x(), c.one())
     with pytest.raises(NonInvertibleCoordinate):
         change_of_variable(c, c.one(), c.x())
+
+
+@pytest.mark.parametrize("other", [1, Fraction(1, 2), CycScalar.q(4), "j"])
+def test_extension_operators_reject_foreign_operands(other):
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(TypeError):
+            op(QUAT_I, other)
+        with pytest.raises(TypeError):
+            op(other, QUAT_I)
+
+
+def test_plane_still_lifts_scalars_and_xpolys():
+    order = 3
+    x, y = PlaneElement.x(order), PlaneElement.y(order)
+    r = XPoly.x(order)
+    assert y + 1 == 1 + y == y + PlaneElement.one(order)
+    assert 2 * y == y * 2 == y.scale(2)
+    assert y - r == -(r - y) == y - x
+    assert y * r == y * x and r * y == x * y

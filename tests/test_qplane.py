@@ -298,3 +298,52 @@ def test_string_rendering():
 
 def test_matrix_rendering():
     assert str(generator_matrices(2)[1]) == "[0, 1]\n[1, 0]"
+
+
+SCALAR_KINDS = (
+    lambda n: -3,
+    lambda n: Fraction(5, 7),
+    lambda n: CycScalar.from_poly(n, (Fraction(1, 2), -2)),
+)
+
+
+@pytest.mark.parametrize("order", [2, 3, 5, 8])
+def test_xpoly_times_scalar_is_scale(order):
+    rng = random.Random(order)
+    r = XPoly.monomial(order, 1, 3) + XPoly.monomial(order, order - 1, CycScalar.q(order))
+    for make in SCALAR_KINDS:
+        c = make(order)
+        assert r * c == c * r == r.scale(c)
+        # the lifted-scalar product, by the double loop
+        assert r.scale(c) == r * XPoly.from_scalar(order, c)
+        dense = rand_xpoly(rng, order)
+        assert dense * c == dense * XPoly.from_scalar(order, c)
+
+
+def test_scale_leaves_zero_coefficients_unmultiplied(monkeypatch):
+    calls = []
+    mul = CycScalar.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    r, q = XPoly.monomial(5, 2, 4), CycScalar.q(5)
+    monkeypatch.setattr(CycScalar, "__mul__", counted)
+    products = [r.scale(q), r * q]
+    monkeypatch.undo()
+    assert len(calls) == 2
+    assert all(p == XPoly.monomial(5, 2, CycScalar.from_poly(5, (0, 4))) for p in products)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_plane_scale_matches_the_plane_product(order):
+    rng = random.Random(31 + order)
+    for _ in range(5):
+        w = rand_plane(rng, order)
+        for make in SCALAR_KINDS:
+            c = make(order)
+            scaled = w.scale(c)
+            assert isinstance(scaled, PlaneElement)
+            assert scaled == w * PlaneElement.from_scalar(order, c)
+            assert scaled.components == tuple(u * XPoly.from_scalar(order, c) for u in w.components)

@@ -8,6 +8,7 @@ Z_2-graded extension of the complex line (tau = i, q = -1).
 from .cyclotomic import CycScalar, Rational, cyclotomic_polynomial, q_factorial, q_integer
 from .galois import (
     CarrierAlgebra,
+    Coordinate,
     ExtElement,
     KForm,
     NonInvertibleCoordinate,
@@ -55,6 +56,7 @@ __all__ = [
     "CarrierAlgebra",
     "CheckResult",
     "ConjugationCarrier",
+    "Coordinate",
     "CycScalar",
     "ExtElement",
     "KForm",

@@ -26,9 +26,10 @@ from typing import Any, Callable
 from .cyclotomic import CycScalar
 from .galois import (
     CarrierAlgebra,
+    Coordinate,
     KForm,
+    conjugation_dx,
     delta,
-    delta_inverse,
 )
 from .qplane import XPoly, XPolyCarrier
 
@@ -47,16 +48,18 @@ class CheckResult:
 
 @dataclass
 class PolyFamilies:
-    """The coordinate families over one carrier and coordinate; every inverse
-    comes from the one Delta(x)**-1 = dx_pow_inv[0] by phi-transport."""
+    """The families of one coordinate; every inverse comes from its one
+    Delta(x)**-1 = coordinate.delta_inv = dx_pow_inv[0] by phi-transport."""
 
-    carrier: CarrierAlgebra
-    x: Any
-    delta_x: Any
+    coordinate: Coordinate
     dkx: tuple          # P_1 .. P_N
     dx_pow: tuple       # Q_1 .. Q_N
     dx_pow_inv: tuple   # Q_1**-1 .. Q_N**-1
     connection: tuple   # Phi_1 .. Phi_{N-1}
+
+    @property
+    def carrier(self) -> CarrierAlgebra:
+        return self.coordinate.carrier
 
     @property
     def order(self) -> int:
@@ -71,8 +74,8 @@ def build_families(carrier: CarrierAlgebra, x) -> PolyFamilies:
     with inverse phi**k(Delta(x)**-1): Q_{k+1}**-1 = Delta(x)**-1 phi(Q_k**-1).
     """
     n = carrier.order
-    dx = delta(carrier, x)
-    dx_inv = delta_inverse(carrier, x)
+    coord = Coordinate(carrier, x)
+    dx, dx_inv = coord.delta_x, coord.delta_inv
 
     dx_pow, dx_pow_inv, dkx = [dx], [dx_inv], [dx]
     for k in range(1, n):
@@ -83,15 +86,10 @@ def build_families(carrier: CarrierAlgebra, x) -> PolyFamilies:
     phi1 = dx_pow_inv[1] * dkx[1]
     connection = [phi1]
     for k in range(1, n - 1):
-        # conjugation_dx(Phi_k) + q**k Phi_1, with Delta(x)**-1 already at hand
-        connection.append(
-            dx_inv * carrier.phi(connection[-1]) * dx + carrier.q_element(k) * phi1
-        )
+        connection.append(conjugation_dx(connection[-1], coord) + carrier.q_element(k) * phi1)
 
     return PolyFamilies(
-        carrier=carrier,
-        x=x,
-        delta_x=dx,
+        coordinate=coord,
         dkx=tuple(dkx),
         dx_pow=tuple(dx_pow),
         dx_pow_inv=tuple(dx_pow_inv),
@@ -170,8 +168,7 @@ def partial_derivative(r: XPoly) -> XPoly:
     """
     n = r.order
     dq = r - r.twist(1)
-    lead = (CycScalar.one(n) - CycScalar.q(n)).inverse()
-    return XPoly.monomial(n, n - 1, lead) * dq
+    return XPoly.monomial(n, n - 1, _one_minus_q_inverse(n)) * dq
 
 
 def higher_delta(k: int, r: XPoly) -> XPoly:
@@ -197,9 +194,13 @@ def higher_delta_closed(k: int, r: XPoly) -> XPoly:
 
 def delta_coefficient(order: int, k: int) -> CycScalar:
     """The zero-order coefficient (q**-k - q**k)/(1 - q) of higher_delta."""
-    return (CycScalar.q_power(order, -k) - CycScalar.q_power(order, k)) / (
-        CycScalar.one(order) - CycScalar.q(order)
-    )
+    return (CycScalar.q_power(order, -k) - CycScalar.q_power(order, k)) * _one_minus_q_inverse(order)
+
+
+@functools.lru_cache(maxsize=None)
+def _one_minus_q_inverse(order: int) -> CycScalar:
+    """(1 - q)**-1, inverted once per order by CycScalar.inverse."""
+    return (CycScalar.one(order) - CycScalar.q(order)).inverse()
 
 
 @functools.lru_cache(maxsize=None)

@@ -30,7 +30,7 @@ from .calculus import (
     q_plane_families,
     to_dx_basis,
 )
-from .cyclotomic import CycScalar
+from .cyclotomic import CycScalar, power
 from .galois import ExtElement, NotInvertible, differential
 from .qplane import PlaneElement, RepMatrix, XPoly, represent
 from .verify import run_all
@@ -321,6 +321,35 @@ def _as_function(w: PlaneElement) -> XPoly:
 _BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
 
 
+def _too_many_digits() -> EvalError:
+    limit = sys.get_int_max_str_digits()
+    return EvalError(f"result has an integer over {limit} digits, too many to print")
+
+
+class _SizeBound:
+    """A plane element whose integers stay within the int-string digit limit.
+
+    ``power`` squares through ``*`` here, so a power stops with an EvalError
+    at the first product past the limit instead of growing without bound.
+    """
+
+    __slots__ = ("element",)
+
+    def __init__(self, element: PlaneElement):
+        limit = sys.get_int_max_str_digits()
+        if limit:
+            bound = 10**limit
+            for row in element.components:
+                for c in row.coeffs:
+                    for f in c.coeffs:
+                        if abs(f.numerator) >= bound or f.denominator >= bound:
+                            raise _too_many_digits()
+        self.element = element
+
+    def __mul__(self, other: _SizeBound) -> _SizeBound:
+        return _SizeBound(self.element * other.element)
+
+
 def evaluate(node, order: int) -> PlaneElement:
     """Evaluate an AST in the reduced quantum plane of the given order."""
     # Left-nested + - * chains fold in a loop: long flat input needs no deep recursion.
@@ -344,7 +373,8 @@ def evaluate(node, order: int) -> PlaneElement:
     if isinstance(node, Neg):
         return -evaluate(node.arg, order)
     if isinstance(node, Pow):
-        return evaluate(node.base, order) ** node.exponent
+        base = _SizeBound(evaluate(node.base, order))
+        return power(base, node.exponent, _SizeBound(PlaneElement.one(order))).element
     if isinstance(node, Call):
         inner = evaluate(node.arg, order)
         if node.fn == "d":
@@ -396,8 +426,7 @@ def _emit(output) -> None:
     try:
         text = output()
     except ValueError:
-        limit = sys.get_int_max_str_digits()
-        raise EvalError(f"result has an integer over {limit} digits, too many to print") from None
+        raise _too_many_digits() from None
     except OverflowError:
         raise EvalError("result has a value too large for a float approximation") from None
     print(text)

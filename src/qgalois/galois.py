@@ -281,24 +281,50 @@ def delta_inverse(carrier: CarrierAlgebra, x):
         ) from exc
 
 
-def right_derivative(carrier: CarrierAlgebra, u, x):
-    """du/dx = Delta(x)**-1 Delta(u); needs Delta(x) invertible."""
-    return delta_inverse(carrier, x) * delta(carrier, u)
+class Coordinate:
+    """A coordinate x of the carrier with Delta(x) and Delta(x)**-1.
+
+    The constructor inverts Delta(x), once: raises NonInvertibleCoordinate
+    when there is no inverse.  Every derivative along x reads the stored one.
+    """
+
+    __slots__ = ("carrier", "x", "delta_x", "delta_inv")
+
+    def __init__(self, carrier: CarrierAlgebra, x):
+        object.__setattr__(self, "carrier", carrier)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "delta_x", delta(carrier, x))
+        object.__setattr__(self, "delta_inv", delta_inverse(carrier, x))
+
+    def __setattr__(self, *_):
+        raise AttributeError("Coordinate is immutable")
+
+    def __eq__(self, other) -> bool:
+        """Equal on carrier and x, which determine Delta(x) and its inverse."""
+        if not isinstance(other, Coordinate):
+            return NotImplemented
+        return self.carrier == other.carrier and self.x == other.x
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"Coordinate({self.carrier!r}, {self.x!r})"
 
 
-def conjugation_dx(carrier: CarrierAlgebra, u, x):
+def right_derivative(u, x: Coordinate):
+    """du/dx = Delta(x)**-1 Delta(u)."""
+    return x.delta_inv * delta(x.carrier, u)
+
+
+def conjugation_dx(u, x: Coordinate):
     """The coefficient-transport u -> Delta(x)**-1 phi(u) Delta(x).
 
     This is the map that moves a carrier coefficient across dx:
     u * dx = dx * conjugation_dx(u).  It is an algebra endomorphism.
     """
-    dx = delta(carrier, x)
-    return delta_inverse(carrier, x) * carrier.phi(u) * dx
+    return x.delta_inv * x.carrier.phi(u) * x.delta_x
 
 
-def change_of_variable(carrier: CarrierAlgebra, y, x):
-    """Return (dy/dx, dx/dy); both coordinates need invertible differences."""
-    return (
-        right_derivative(carrier, y, x),
-        right_derivative(carrier, x, y),
-    )
+def change_of_variable(y: Coordinate, x: Coordinate):
+    """Return (dy/dx, dx/dy) for two coordinates of one carrier."""
+    return right_derivative(y.x, x), right_derivative(x.x, y)

@@ -462,7 +462,11 @@ def basis_matrices(order: int) -> dict[tuple[int, int], RepMatrix]:
 
 
 def scalar_rank(vectors: list[list[CycScalar]]) -> int:
-    """Rank of a matrix over Q(q) by Gaussian elimination."""
+    """Rank of a matrix over Q(q) by Gaussian elimination.
+
+    Row operations touch only the pivot row's nonzero columns: in the others
+    the update e - f*0 would leave e as it is.
+    """
     rows = [list(v) for v in vectors]
     if not rows:
         return 0
@@ -473,12 +477,16 @@ def scalar_rank(vectors: list[list[CycScalar]]) -> int:
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [inv * e for e in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [e - f * p for e, p in zip(rows[r], rows[rank])]
+        prow = rows[rank]
+        support = [j for j, e in enumerate(prow) if e]
+        inv = prow[col].inverse()
+        for j in support:
+            prow[j] = inv * prow[j]
+        for r, row in enumerate(rows):
+            f = row[col]
+            if r != rank and f:
+                for j in support:
+                    row[j] = row[j] - f * prow[j]
         rank += 1
         if rank == len(rows):
             break

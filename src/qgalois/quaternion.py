@@ -16,6 +16,7 @@ from fractions import Fraction
 from .cyclotomic import CycScalar
 from .galois import (
     CarrierAlgebra,
+    Coordinate,
     ExtElement,
     NonInvertibleCoordinate,
     NotInvertible,
@@ -82,8 +83,8 @@ def second_right_derivative(u: CycScalar, x: CycScalar) -> CycScalar:
     The first derivative Delta(x)**-1 Delta(u) is the rational constant
     (j part of u) / (j part of x), so the second difference vanishes.
     """
-    first = right_derivative(CARRIER, u, x)
-    return right_derivative(CARRIER, first, x)
+    coord = Coordinate(CARRIER, x)
+    return right_derivative(right_derivative(u, coord), coord)
 
 
 def linear_decomposition(u: CycScalar, x: CycScalar) -> tuple[Fraction, Fraction]:

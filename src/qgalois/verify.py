@@ -26,12 +26,12 @@ from .calculus import (
 )
 from .cyclotomic import CycScalar, q_factorial, q_integer
 from .galois import (
+    Coordinate,
     ExtElement,
     KForm,
     NotInvertible,
     conjugation_dx,
     delta,
-    delta_inverse,
     differential,
     q_commutator,
     right_derivative,
@@ -71,15 +71,15 @@ def _rand_xpoly(rng: random.Random, order: int, terms: int = 2) -> XPoly:
     return acc
 
 
-def _rand_invertible(rng: random.Random, order: int, invert) -> XPoly:
-    """A random element r for which invert(r) does not raise NotInvertible."""
+def _rand_invertible(rng: random.Random, order: int, invert):
+    """A random element r for which invert(r) does not raise NotInvertible,
+    returned with what invert made of it: the pair (r, invert(r))."""
     while True:
         r = _rand_xpoly(rng, order)
         try:
-            invert(r)
+            return r, invert(r)
         except NotInvertible:
             continue
-        return r
 
 
 def _rand_plane(rng: random.Random, order: int, terms: int = 3) -> PlaneElement:
@@ -224,13 +224,13 @@ def galois_suite(order: int, rng: random.Random, cases: int) -> list[CheckResult
 
     out.append(_all_zero("galois.delta_product_rule", delta_rule()))
 
-    x = carrier.x()
+    x = Coordinate(carrier, carrier.x())
 
     def twisted_leibniz():
         for _ in range(cases):
             u, v = _rand_xpoly(rng, n), _rand_xpoly(rng, n)
-            lhs = right_derivative(carrier, u * v, x)
-            rhs = right_derivative(carrier, u, x) * v + conjugation_dx(carrier, u, x) * right_derivative(carrier, v, x)
+            lhs = right_derivative(u * v, x)
+            rhs = right_derivative(u, x) * v + conjugation_dx(u, x) * right_derivative(v, x)
             yield lhs - rhs
 
     out.append(_all_zero("galois.twisted_leibniz", twisted_leibniz()))
@@ -238,16 +238,16 @@ def galois_suite(order: int, rng: random.Random, cases: int) -> list[CheckResult
     def conj_hom():
         for _ in range(cases):
             u, v = _rand_xpoly(rng, n), _rand_xpoly(rng, n)
-            yield conjugation_dx(carrier, u * v, x) - conjugation_dx(carrier, u, x) * conjugation_dx(carrier, v, x)
+            yield conjugation_dx(u * v, x) - conjugation_dx(u, x) * conjugation_dx(v, x)
 
     out.append(_all_zero("galois.conjugation_multiplicative", conj_hom()))
 
     def chain():
         for _ in range(cases):
-            z = _rand_invertible(rng, n, lambda u: delta_inverse(carrier, u))
+            z, zc = _rand_invertible(rng, n, lambda u: Coordinate(carrier, u))
             u = _rand_xpoly(rng, n)
-            yield right_derivative(carrier, u, x) - right_derivative(carrier, z, x) * right_derivative(carrier, u, z)
-            dz_dx, dx_dz = right_derivative(carrier, z, x), right_derivative(carrier, x, z)
+            yield right_derivative(u, x) - right_derivative(z, x) * right_derivative(u, zc)
+            dz_dx, dx_dz = right_derivative(z, x), right_derivative(x.x, zc)
             yield dz_dx * dx_dz - carrier.one()
 
     out.append(_all_zero("galois.change_of_variable_chain", chain()))
@@ -294,8 +294,8 @@ def qplane_suite(order: int, rng: random.Random, cases: int) -> list[CheckResult
 
     def inv_round():
         for _ in range(cases):
-            r = _rand_invertible(rng, n, XPoly.inverse)
-            yield r * r.inverse() - XPoly.one(n)
+            r, r_inv = _rand_invertible(rng, n, XPoly.inverse)
+            yield r * r_inv - XPoly.one(n)
 
     out.append(_all_zero("qplane.x_inverse_round_trip", inv_round()))
 
@@ -352,7 +352,7 @@ def calculus_suite(order: int, rng: random.Random, cases: int) -> list[CheckResu
     n = order
     fam = q_plane_families(n)
     carrier = fam.carrier
-    x = fam.x
+    x = fam.coordinate
     one = CycScalar.one(n)
     q = CycScalar.q(n)
 
@@ -402,7 +402,7 @@ def calculus_suite(order: int, rng: random.Random, cases: int) -> list[CheckResu
     def partial_vs_rd():
         for _ in range(cases):
             r = _rand_xpoly(rng, n)
-            yield partial_derivative(r) - right_derivative(carrier, r, x)
+            yield partial_derivative(r) - right_derivative(r, x)
 
     out.append(_all_zero("calculus.partial_matches_right_derivative", partial_vs_rd()))
 
@@ -442,7 +442,7 @@ def calculus_suite(order: int, rng: random.Random, cases: int) -> list[CheckResu
 
     def iterated():
         for k in range(1, n + 1):
-            form = KForm(carrier, 0, x)
+            form = KForm(carrier, 0, x.x)
             for _ in range(k):
                 form = form.differential()
             ref = higher_differential_of_x(fam, k)

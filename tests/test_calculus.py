@@ -16,6 +16,7 @@ from fractions import Fraction
 import pytest
 
 from qgalois import (
+    Coordinate,
     CycScalar,
     ExtElement,
     KForm,
@@ -165,7 +166,7 @@ def test_printed_connection_recurrence_is_wrong():
     c = fam.carrier
     x = XPoly.x(order)
     phi1 = fam.connection[0]
-    candidate = conjugation_dx(c, phi1, fam.x) + c.q_element(1 - 1) * phi1
+    candidate = conjugation_dx(phi1, fam.coordinate) + c.q_element(1 - 1) * phi1
     assert candidate == (x * x).scale(CycScalar.q_power(order, 2))
     assert candidate != fam.connection[1]
     dx2 = from_dx_basis(fam, 2, XPoly.one(order))
@@ -321,7 +322,7 @@ def test_partial_matches_the_right_derivative():
         c = XPolyCarrier(order)
         for _ in range(10):
             w = rand_xpoly(rng, order)
-            assert partial_derivative(w) == right_derivative(c, w, c.x())
+            assert partial_derivative(w) == right_derivative(w, Coordinate(c, c.x()))
 
 
 @pytest.mark.parametrize("order", ORDERS)
@@ -410,8 +411,9 @@ def _check_families(fam):
     c, n = fam.carrier, fam.order
     for k in range(n):
         assert fam.dx_pow[k] * fam.dx_pow_inv[k] == c.one(), f"Q_{k + 1}"
+    x = Coordinate(c, fam.coordinate.x)  # inverted afresh, apart from the families
     for k in range(1, n - 1):
-        expected = conjugation_dx(c, fam.connection[k - 1], fam.x) + c.q_element(k) * fam.connection[0]
+        expected = conjugation_dx(fam.connection[k - 1], x) + c.q_element(k) * fam.connection[0]
         assert fam.connection[k] == expected, f"Phi_{k + 1}"
     for k in range(1, n):
         lhs = from_dx_basis(fam, k, c.one()).differential()
@@ -456,5 +458,15 @@ def test_families_invert_once(order, monkeypatch):
     monkeypatch.setattr(XPoly, "inverse", counted)
     fam = q_plane_families.__wrapped__(order)
     monkeypatch.undo()
-    assert calls == [fam.delta_x]
+    assert calls == [fam.coordinate.delta_x]
     assert fam.dx_pow_inv == q_plane_families(order).dx_pow_inv
+    assert fam == q_plane_families(order)
+
+
+@pytest.mark.parametrize("order", [2, 3, 5, 8])
+def test_one_minus_q_is_inverted_once_per_order(order, monkeypatch):
+    """partial_derivative and delta_coefficient read one cached (1 - q)**-1."""
+    r = XPoly.x(order) + XPoly.one(order)
+    first = partial_derivative(r), [delta_coefficient(order, k) for k in range(order)]
+    monkeypatch.setattr(CycScalar, "inverse", lambda a: pytest.fail("inverted again"))
+    assert (partial_derivative(r), [delta_coefficient(order, k) for k in range(order)]) == first

@@ -322,6 +322,19 @@ def test_huge_exponent_ends_quickly():
     assert proc.stdout == "x\n"
 
 
+def test_growing_power_stops_at_the_digit_limit():
+    # every squaring doubles the coefficients' length; the power stops once one passes the limit
+    proc = subprocess.run(
+        [sys.executable, "-m", "qgalois", "normalize", "--order", "3", "(1+x)^10000000"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 2
+    assert "result has an integer over 4300 digits" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize(
     "golden,args",
     [

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from qgalois import (
+    Coordinate,
     CycScalar,
     ExtElement,
     NonInvertibleCoordinate,
@@ -26,6 +27,7 @@ from qgalois import (
     q_commutator,
     right_derivative,
     tau,
+    verify,
 )
 from qgalois.quaternion import CARRIER, QUAT_I, QUAT_ONE
 
@@ -207,10 +209,11 @@ def test_right_derivative_reference_values():
     for order in (3, 5):
         c = XPolyCarrier(order)
         x = c.x()
+        cx = Coordinate(c, x)
         q = CycScalar.q(order)
-        assert right_derivative(c, x, x) == XPoly.one(order)
-        assert right_derivative(c, c.one(), x).is_zero()
-        assert right_derivative(c, x * x, x) == x.scale(1 + q)
+        assert right_derivative(x, cx) == XPoly.one(order)
+        assert right_derivative(c.one(), cx).is_zero()
+        assert right_derivative(x * x, cx) == x.scale(1 + q)
 
 
 def test_derivative_reassembles_the_differential():
@@ -219,43 +222,43 @@ def test_derivative_reassembles_the_differential():
     for order in (2, 3, 4):
         c = XPolyCarrier(order)
         x = c.x()
+        cx = Coordinate(c, x)
         dx = ExtElement.from_component(c, 1, delta(c, x))
         for _ in range(15):
             u = rand_xpoly(rng, order)
             du = ExtElement.from_component(c, 1, delta(c, u))
-            assert du == dx * ExtElement.embed(c, right_derivative(c, u, x))
+            assert du == dx * ExtElement.embed(c, right_derivative(u, cx))
 
 
 def test_conjugation_transport():
     c = XPolyCarrier(3)
     x = c.x()
-    assert conjugation_dx(c, c.one(), x) == XPoly.one(3)
+    cx = Coordinate(c, x)
+    assert conjugation_dx(c.one(), cx) == XPoly.one(3)
     # the x-subalgebra is commutative, so transport collapses to phi
-    assert conjugation_dx(c, x, x) == x.twist(1)
+    assert conjugation_dx(x, cx) == x.twist(1)
     rng = random.Random(43)
     for _ in range(15):
         u, v = rand_xpoly(rng, 3), rand_xpoly(rng, 3)
-        assert conjugation_dx(c, u * v, x) == conjugation_dx(c, u, x) * conjugation_dx(c, v, x)
+        assert conjugation_dx(u * v, cx) == conjugation_dx(u, cx) * conjugation_dx(v, cx)
 
 
 def test_twisted_leibniz_for_the_right_derivative():
     rng = random.Random(47)
     for order in (2, 3, 5):
         c = XPolyCarrier(order)
-        x = c.x()
+        cx = Coordinate(c, c.x())
         for _ in range(20):
             u, v = rand_xpoly(rng, order), rand_xpoly(rng, order)
-            lhs = right_derivative(c, u * v, x)
-            rhs = right_derivative(c, u, x) * v + conjugation_dx(c, u, x) * right_derivative(
-                c, v, x
-            )
+            lhs = right_derivative(u * v, cx)
+            rhs = right_derivative(u, cx) * v + conjugation_dx(u, cx) * right_derivative(v, cx)
             assert lhs == rhs
 
 
 def test_change_of_variable_identity_case():
     c = XPolyCarrier(4)
-    x = c.x()
-    yx, xy = change_of_variable(c, x, x)
+    cx = Coordinate(c, c.x())
+    yx, xy = change_of_variable(cx, cx)
     assert yx == XPoly.one(4)
     assert xy == XPoly.one(4)
 
@@ -265,7 +268,7 @@ def test_change_of_variable_to_x_squared():
     x = c.x()
     q = CycScalar.q(3)
     y = x * x
-    yx, xy = change_of_variable(c, y, x)
+    yx, xy = change_of_variable(Coordinate(c, y), Coordinate(c, x))
     assert yx == x.scale(1 + q)
     assert yx * xy == XPoly.one(3)
     assert xy == c.invert(x.scale(1 + q))
@@ -277,19 +280,20 @@ def test_chain_rule_through_an_intermediate_coordinate():
     for order in (3, 4, 5):
         c = XPolyCarrier(order)
         x = c.x()
-        y = x * x  # Delta(y) = (1 - q^2) x^2 is a unit for order > 2
+        cx = Coordinate(c, x)
+        cy = Coordinate(c, x * x)  # Delta(y) = (1 - q^2) x^2 is a unit for order > 2
         for _ in range(15):
             u = rand_xpoly(rng, order)
-            yx, _ = change_of_variable(c, y, x)
-            assert right_derivative(c, u, x) == yx * right_derivative(c, u, y)
+            yx, _ = change_of_variable(cy, cx)
+            assert right_derivative(u, cx) == yx * right_derivative(u, cy)
 
 
 def test_constant_coordinates_are_rejected():
     c = XPolyCarrier(3)
     with pytest.raises(NonInvertibleCoordinate):
-        right_derivative(c, c.x(), c.one())
+        right_derivative(c.x(), Coordinate(c, c.one()))
     with pytest.raises(NonInvertibleCoordinate):
-        change_of_variable(c, c.one(), c.x())
+        change_of_variable(Coordinate(c, c.one()), Coordinate(c, c.x()))
 
 
 @pytest.mark.parametrize("other", [1, Fraction(1, 2), CycScalar.q(4), "j"])
@@ -309,3 +313,82 @@ def test_plane_still_lifts_scalars_and_xpolys():
     assert 2 * y == y * 2 == y.scale(2)
     assert y - r == -(r - y) == y - x
     assert y * r == y * x and r * y == x * y
+
+
+# -- Coordinate: Delta(x) inverted once --------------------------------------------
+
+
+def test_coordinate_holds_its_difference_and_inverse():
+    for order in (2, 3, 5, 8):
+        c = XPolyCarrier(order)
+        cx = Coordinate(c, c.x())
+        assert cx.carrier == c and cx.x == c.x()
+        assert cx.delta_x == delta(c, c.x())
+        assert cx.delta_inv * delta(c, c.x()) == c.one()
+        assert cx == Coordinate(c, c.x()) and cx != Coordinate(c, c.x().scale(2))
+        with pytest.raises(AttributeError):
+            cx.x = c.one()
+
+
+def test_non_invertible_coordinates_raise_at_construction():
+    c = XPolyCarrier(3)
+    x = c.x()
+    with pytest.raises(NonInvertibleCoordinate):
+        Coordinate(c, XPoly.one(3))
+    # Delta(x + x^2) is nonzero but vanishes at a root of x^3 - 1
+    with pytest.raises(NonInvertibleCoordinate):
+        Coordinate(c, x + x * x)
+
+
+def test_derivatives_along_a_coordinate_invert_nothing(monkeypatch):
+    c = XPolyCarrier(4)
+    cx = Coordinate(c, c.x())
+    monkeypatch.setattr(XPoly, "inverse", lambda r: pytest.fail("inverted again"))
+    u, v = XPoly.x(4) * XPoly.x(4), XPoly.one(4) + XPoly.x(4)
+    right_derivative(u, cx)
+    conjugation_dx(v, cx)
+    change_of_variable(cx, cx)
+
+
+def _count_inversions(monkeypatch, suite, order, cases):
+    """Run suite(order, rng, cases) and return (XPoly.inverse arguments,
+    sampler attempts, rows); an attempt is one call of the sampler's invert."""
+    inverted, attempts = [], []
+    inverse = XPoly.inverse
+
+    def counted_inverse(r):
+        inverted.append(r)
+        return inverse(r)
+
+    sampler = verify._rand_invertible
+
+    def counted_sampler(rng, n, invert):
+        def counted_invert(r):
+            attempts.append(r)
+            return invert(r)
+
+        return sampler(rng, n, counted_invert)
+
+    monkeypatch.setattr(XPoly, "inverse", counted_inverse)
+    monkeypatch.setattr(verify, "_rand_invertible", counted_sampler)
+    rows = suite(order, random.Random(1000 + order), cases)
+    monkeypatch.undo()
+    return inverted, attempts, rows
+
+
+@pytest.mark.parametrize("order", range(2, 9))
+def test_galois_suite_inverts_each_coordinate_once(order, monkeypatch):
+    c = XPolyCarrier(order)
+    inverted, attempts, rows = _count_inversions(monkeypatch, verify.galois_suite, order, 4)
+    assert all(rows)
+    assert len(attempts) >= 4
+    # one inversion for x, then one per sampling attempt for z
+    assert inverted == [delta(c, c.x())] + [delta(c, z) for z in attempts]
+
+
+@pytest.mark.parametrize("order", range(2, 9))
+def test_x_inverse_round_trip_inverts_each_sample_once(order, monkeypatch):
+    inverted, attempts, rows = _count_inversions(monkeypatch, verify.qplane_suite, order, 4)
+    assert all(rows)
+    assert len(attempts) >= 4
+    assert inverted == attempts

@@ -347,3 +347,116 @@ def test_plane_scale_matches_the_plane_product(order):
             assert isinstance(scaled, PlaneElement)
             assert scaled == w * PlaneElement.from_scalar(order, c)
             assert scaled.components == tuple(u * XPoly.from_scalar(order, c) for u in w.components)
+
+
+# -- scalar_rank on rank-deficient and random input -------------------------------
+
+
+def dense_rank(vectors):
+    """Oracle: Gauss-Jordan elimination that updates every column of every row."""
+    rows = [list(v) for v in vectors]
+    if not rows:
+        return 0
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = rows[rank][col].inverse()
+        rows[rank] = [inv * e for e in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [e - f * p for e, p in zip(rows[r], rows[rank])]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+def rand_scalar(rng, order, density=1.0):
+    """A scalar of Q(q) with each coefficient nonzero with probability density."""
+    deg = len(CycScalar.zero(order).coeffs)
+    return CycScalar.from_poly(
+        order,
+        [
+            Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3))
+            if rng.random() < density
+            else 0
+            for _ in range(deg)
+        ],
+    )
+
+
+def rand_matrix(rng, order, nrows, ncols, density):
+    zero = CycScalar.zero(order)
+    return [
+        [rand_scalar(rng, order) if rng.random() < density else zero for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+
+
+def planted_rank_matrix(rng, order, rank, ncols):
+    """rank independent rows, then duplicate, zero and Q(q)-combination rows, shuffled.
+
+    The independent rows are in echelon form with nonzero pivots before their
+    columns are permuted, so the rank is known without elimination.
+    """
+    zero = CycScalar.zero(order)
+    pivots = sorted(rng.sample(range(ncols), rank))
+    base = []
+    for p in pivots:
+        row = [zero] * ncols
+        row[p] = rand_scalar(rng, order, 0.8) or CycScalar.one(order)
+        for j in range(p + 1, ncols):
+            if rng.random() < 0.3:
+                row[j] = rand_scalar(rng, order, 0.6)
+        base.append(row)
+    rows = [list(r) for r in base]
+    rows += [list(rng.choice(base)) for _ in range(2)]  # duplicates
+    rows += [[zero] * ncols for _ in range(2)]  # zero rows
+    for _ in range(3):  # combinations of up to three base rows
+        combo = [zero] * ncols
+        for row in rng.sample(base, min(3, rank)):
+            f = rand_scalar(rng, order, 0.7)
+            combo = [c + f * e for c, e in zip(combo, row)]
+        rows.append(combo)
+    rng.shuffle(rows)
+    perm = list(range(ncols))
+    rng.shuffle(perm)
+    return [[row[j] for j in perm] for row in rows]
+
+
+@pytest.mark.parametrize("order", range(2, 9))
+def test_scalar_rank_of_planted_rank_deficient_rows(order):
+    rng = random.Random(4201 + order)
+    ncols = order * order
+    for rank in sorted({1, 2, order - 1, order}):
+        vectors = planted_rank_matrix(rng, order, rank, ncols)
+        snapshot = [list(v) for v in vectors]
+        assert len(vectors) == rank + 7
+        assert scalar_rank(vectors) == rank
+        assert dense_rank(vectors) == rank
+        assert vectors == snapshot  # the input is not eliminated in place
+
+
+@pytest.mark.parametrize("order", range(2, 9))
+def test_scalar_rank_matches_dense_elimination_on_random_matrices(order):
+    rng = random.Random(4301 + order)
+    for nrows, ncols, density in (
+        (order + 2, order * order, 0.1),  # sparse, as the basis images are
+        (2 * order, order * order, 1.0 / order),
+        (order + 1, 2 * order, 1.0),  # dense, more rows than independent columns
+        (3, order, 0.5),
+    ):
+        vectors = rand_matrix(rng, order, nrows, ncols, density)
+        assert scalar_rank(vectors) == dense_rank(vectors)
+
+
+def test_scalar_rank_of_degenerate_input():
+    zero = CycScalar.zero(3)
+    assert scalar_rank([]) == 0
+    assert scalar_rank([[zero] * 4] * 3) == 0
+    row = [zero, CycScalar.q(3), zero, CycScalar.one(3)]
+    assert scalar_rank([row, row, [zero] * 4, [CycScalar.q(3) * e for e in row]]) == 1

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from qgalois import (
+    Coordinate,
     CycScalar,
     NonInvertibleCoordinate,
     ExtElement,
@@ -95,7 +96,7 @@ def test_first_derivative_is_a_rational_constant():
     for _ in range(30):
         u = CycScalar.from_poly(4, (Fraction(rng.randint(-9, 9)), Fraction(rng.randint(-9, 9))))
         x = CycScalar.from_poly(4, (Fraction(rng.randint(-9, 9)), Fraction(rng.randint(1, 9))))
-        got = right_derivative(CARRIER, u, x)
+        got = right_derivative(u, Coordinate(CARRIER, x))
         assert got == CycScalar.from_poly(4, (u.coeffs[1] / x.coeffs[1],))
 
 
@@ -143,7 +144,7 @@ def test_families_at_order_two():
 def test_dx_basis_folds_tau_squared_to_minus_one():
     # x = j: dx = tau Delta(j) = i (2j) = 2k, and (2k)^2 = -4 by k^2 = -1
     fam = build_families(CARRIER, CycScalar.from_poly(4, (0, 1)))
-    dx = KForm(CARRIER, 1, fam.delta_x)
+    dx = KForm(CARRIER, 1, fam.coordinate.delta_x)
     dx_squared = from_dx_basis(fam, 2, CycScalar.from_poly(4, (1,)))
     assert dx_squared == dx * dx
     assert dx_squared.degree == 0

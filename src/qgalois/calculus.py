@@ -104,9 +104,8 @@ def identity_check(fam: PolyFamilies) -> list[CheckResult]:
     top = fam.dkx[n - 1]
     out = [CheckResult("dkx_top_vanishes", top.is_zero(), None if top.is_zero() else top)]
     acc = c.zero()
-    second = fam.dkx[n - 2] if n >= 2 else fam.dkx[0]
     for j in range(n):
-        acc = acc + c.phi_power(second, j)
+        acc = acc + c.phi_power(fam.dkx[n - 2], j)
     out.append(
         CheckResult("dkx_twisted_sum_vanishes", acc.is_zero(), None if acc.is_zero() else acc)
     )

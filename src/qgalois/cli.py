@@ -607,10 +607,7 @@ def main(argv=None) -> int:
         parser.error("--cases must be at least 1")
     try:
         return args.fn(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (EvalError, NotInvertible) as exc:
+    except (ParseError, EvalError, NotInvertible) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,24 +20,6 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _poly_divexact(num: list[int], den: tuple[int, ...]) -> list[int]:
-    """Exact long division of integer polynomials; divisor must be monic."""
-    if den[-1] != 1:
-        raise ValueError("divisor must be monic")
-    num = list(num)
-    dd = len(den) - 1
-    out = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        out[i - dd] = c
-        if c:
-            for j, dj in enumerate(den):
-                num[i - dd + j] -= c * dj
-    if any(num[:dd]):
-        raise ValueError("division is not exact")
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
     """Ascending coefficients of the order-th cyclotomic polynomial.
@@ -49,39 +31,47 @@ def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
     """
     if order < 1:
         raise ValueError("order must be positive")
-    num = [-1] + [0] * (order - 1) + [1]
-    out = num
+    out = [Fraction(-1)] + [_ZERO] * (order - 1) + [_ONE]
     for d in range(1, order):
         if order % d == 0:
-            out = _poly_divexact(out, cyclotomic_polynomial(d))
-    return tuple(out)
+            out, rem = _poly_divmod(out, [Fraction(c) for c in cyclotomic_polynomial(d)])
+            if any(rem):
+                raise ValueError("division is not exact")
+    return tuple(int(c) for c in out)
 
 
 @functools.lru_cache(maxsize=None)
-def _context(order: int) -> tuple[int, tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """Per-order reduction data: (degree, residues of t^m, residues of q^k).
-
-    The first table covers monomials t^m for 0 <= m <= 2*degree - 2 (enough to
-    reduce any product of two canonical forms); the second gives the canonical
-    form of q^k for 0 <= k < order.
-    """
+def _residues(order: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(deg Phi_N, the residues of t^0 .. t^(N-1)); row k is also q^k's canonical form."""
     phi = cyclotomic_polynomial(order)
     deg = len(phi) - 1
-    top = max(2 * deg - 2, order - 1)
-    rows: list[tuple[int, ...]] = []
-    cur = [0] * deg
-    cur[0] = 1
-    rows.append(tuple(cur))
-    for _ in range(top):
+    cur = [1] + [0] * (deg - 1)
+    rows = [tuple(cur)]
+    for _ in range(order - 1):
         lead = cur[-1]
-        nxt = [0] + cur[:-1]
+        cur = [0] + cur[:-1]
         if lead:
             for j in range(deg):
-                nxt[j] -= lead * phi[j]
-        cur = nxt
+                cur[j] -= lead * phi[j]
         rows.append(tuple(cur))
-    powers = tuple(rows[k] for k in range(order))
-    return deg, tuple(rows), powers
+    return deg, tuple(rows)
+
+
+def _reduce(order: int, vec) -> CycScalar:
+    """The scalar sum_m vec[m] t^m, for Fraction coefficients and any length.
+
+    Coefficients below deg Phi_N are kept as they are.  Phi_N divides t^N - 1,
+    so every higher t^m folds through the residue of t^(m mod N).
+    """
+    deg, rows = _residues(order)
+    acc = list(vec[:deg]) + [_ZERO] * (deg - len(vec))
+    for m in range(deg, len(vec)):
+        c = vec[m]
+        if c:
+            for j, rj in enumerate(rows[m % order]):
+                if rj:
+                    acc[j] += c * rj
+    return CycScalar(order, tuple(acc))
 
 
 class CycScalar:
@@ -94,8 +84,7 @@ class CycScalar:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs: tuple[Fraction, ...]):
-        deg, _, _ = _context(order)
-        if len(coeffs) != deg:
+        if len(coeffs) != _residues(order)[0]:
             raise ValueError("coefficient vector has wrong length")
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", coeffs)
@@ -108,23 +97,11 @@ class CycScalar:
     @staticmethod
     def from_poly(order: int, coeffs) -> CycScalar:
         """Build from an arbitrary-length coefficient list, reducing mod Phi."""
-        deg, rows, _ = _context(order)
-        acc = [_ZERO] * deg
-        for m, c in enumerate(coeffs):
-            c = Fraction(c)
-            if not c:
-                continue
-            # q**order == 1, so large exponents fold mod order first
-            row = rows[m] if m < len(rows) else rows[m % order]
-            for j, rj in enumerate(row):
-                if rj:
-                    acc[j] += c * rj
-        return CycScalar(order, tuple(acc))
+        return _reduce(order, [Fraction(c) for c in coeffs])
 
     @staticmethod
     def from_rational(order: int, value) -> CycScalar:
-        deg, _, _ = _context(order)
-        coeffs = [_ZERO] * deg
+        coeffs = [_ZERO] * _residues(order)[0]
         coeffs[0] = Fraction(value)
         return CycScalar(order, tuple(coeffs))
 
@@ -185,24 +162,15 @@ class CycScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        deg, rows, _ = _context(self.order)
         a, b = self.coeffs, o.coeffs
-        conv = [_ZERO] * (2 * deg - 1)
+        conv = [_ZERO] * (2 * len(a) - 1)
         for i, ai in enumerate(a):
             if not ai:
                 continue
             for j, bj in enumerate(b):
                 if bj:
                     conv[i + j] += ai * bj
-        acc = list(conv[:deg])
-        for m in range(deg, 2 * deg - 1):
-            c = conv[m]
-            if c:
-                row = rows[m]
-                for j, rj in enumerate(row):
-                    if rj:
-                        acc[j] += c * rj
-        return CycScalar(self.order, tuple(acc))
+        return _reduce(self.order, conv)
 
     __rmul__ = __mul__
 
@@ -219,8 +187,7 @@ class CycScalar:
             s0, s1 = s1, _poly_sub(s0, _poly_mul(quot, s1))
         # r0 is a nonzero constant: Phi is irreducible over Q
         lead = next(c for c in reversed(r0) if c)
-        inv = [c / lead for c in s0]
-        return CycScalar.from_poly(self.order, inv)
+        return _reduce(self.order, [c / lead for c in s0])
 
     def galois(self, k: int) -> CycScalar:
         """The automorphism sigma_k: q -> q**k of Q(q), for k coprime to the order.
@@ -233,7 +200,7 @@ class CycScalar:
         moved = [_ZERO] * n
         for m, c in enumerate(self.coeffs):
             moved[k * m % n] = c
-        return CycScalar.from_poly(n, moved)
+        return _reduce(n, moved)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -272,7 +239,7 @@ class CycScalar:
         return self.coeffs == o.coeffs
 
     def __hash__(self):
-        if all(c == 0 for c in self.coeffs[1:]):
+        if self.is_rational():
             return hash(self.coeffs[0])
         return hash((self.order, self.coeffs))
 
@@ -317,8 +284,8 @@ class CycScalar:
 @functools.lru_cache(maxsize=None)
 def _q_powers(order: int) -> tuple[CycScalar, ...]:
     """q**0 .. q**(order-1) as scalars, built once per order."""
-    _, _, powers = _context(order)
-    return tuple(CycScalar(order, tuple(Fraction(c) for c in row)) for row in powers)
+    _, rows = _residues(order)
+    return tuple(CycScalar(order, tuple(map(Fraction, row))) for row in rows)
 
 
 def power(base, k: int, one):

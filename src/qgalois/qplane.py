@@ -39,6 +39,10 @@ class XPoly:
         coeffs = tuple(coeffs)
         if len(coeffs) != order:
             raise ValueError("coefficient vector must have length N")
+        for c in coeffs:
+            if type(c) is not CycScalar or c.order != order:
+                coeffs = tuple(_as_scalar(order, c) for c in coeffs)
+                break
         self.order = order
         self.coeffs = coeffs
 
@@ -439,7 +443,7 @@ def represent(w: PlaneElement) -> RepMatrix:
     image of w = sum_k y**k u_k(x) has entry (i, j) = u_(j-i)(q**-j): the
     components evaluated at the roots of x**N - 1.
     """
-    n = w.order
+    n = w.carrier.order
     return RepMatrix(
         n, ((w.component(j - i).evaluate_at_q_power(-j) for j in range(n)) for i in range(n))
     )
@@ -462,10 +466,11 @@ def basis_matrices(order: int) -> dict[tuple[int, int], RepMatrix]:
 
 
 def scalar_rank(vectors: list[list[CycScalar]]) -> int:
-    """Rank of a matrix over Q(q) by Gaussian elimination.
+    """Rank of a matrix over Q(q) by forward Gaussian elimination.
 
-    Row operations touch only the pivot row's nonzero columns: in the others
-    the update e - f*0 would leave e as it is.
+    Only the rows below a pivot are eliminated: the rows above are never
+    searched again.  Row operations touch only the pivot row's nonzero
+    columns: in the others the update e - f*0 would leave e as it is.
     """
     rows = [list(v) for v in vectors]
     if not rows:
@@ -482,9 +487,9 @@ def scalar_rank(vectors: list[list[CycScalar]]) -> int:
         inv = prow[col].inverse()
         for j in support:
             prow[j] = inv * prow[j]
-        for r, row in enumerate(rows):
+        for row in rows[rank + 1 :]:
             f = row[col]
-            if r != rank and f:
+            if f:
                 for j in support:
                     row[j] = row[j] - f * prow[j]
         rank += 1

@@ -23,6 +23,7 @@ from qgalois.cli import (
     Pow,
     Sub,
     Sym,
+    element_json,
     evaluate,
     main,
     parse,
@@ -356,3 +357,10 @@ def test_verify_output_is_deterministic():
     a = run_cli("verify", "--order", "2", "--cases", "4", "--json")
     b = run_cli("verify", "--order", "2", "--cases", "4", "--json")
     assert a.stdout == b.stdout
+
+
+def test_element_json_of_a_plane_element_built_from_rationals():
+    w = PlaneElement(2, [[Fraction(1, 2), 0], [0, 3]])
+    assert element_json(w) == element_json(
+        PlaneElement.monomial(2, 0, 0, Fraction(1, 2)) + PlaneElement.monomial(2, 1, 1, 3)
+    )

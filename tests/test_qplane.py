@@ -460,3 +460,32 @@ def test_scalar_rank_of_degenerate_input():
     assert scalar_rank([[zero] * 4] * 3) == 0
     row = [zero, CycScalar.q(3), zero, CycScalar.one(3)]
     assert scalar_rank([row, row, [zero] * 4, [CycScalar.q(3) * e for e in row]]) == 1
+
+
+def test_plane_element_from_plain_rational_rows():
+    w = PlaneElement(3, [[1, 0, 0], [0, Fraction(1, 2), 0], [0, 0, 0]])
+    assert w == PlaneElement.monomial(3, 0, 0) + PlaneElement.monomial(3, 1, 1, Fraction(1, 2))
+    assert str(w) == "1 + 1/2*y*x"
+    assert all(isinstance(c, CycScalar) for u in w.components for c in u.coeffs)
+
+
+def test_xpoly_lifts_rational_coefficients():
+    r = XPoly(3, [1, 0, Fraction(-2, 3)])
+    assert r == XPoly.one(3) + XPoly.monomial(3, 2, Fraction(-2, 3))
+    assert all(isinstance(c, CycScalar) and c.order == 3 for c in r.coeffs)
+    assert str(r) == str(XPoly.one(3) + XPoly.monomial(3, 2, Fraction(-2, 3)))
+
+
+def test_xpoly_rejects_coefficients_of_another_order():
+    with pytest.raises(ValueError):
+        XPoly(3, [CycScalar.one(5)] * 3)
+    with pytest.raises(ValueError):
+        XPoly(3, [CycScalar.one(3), CycScalar.one(3), CycScalar.one(5)])
+
+
+def test_represent_accepts_a_generic_extension_element():
+    rng = random.Random(19)
+    for order in (2, 3, 5):
+        w = rand_plane(rng, order)
+        ext = ExtElement(XPolyCarrier(order), w.components)
+        assert represent(ext) == represent(w)

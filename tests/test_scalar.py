@@ -276,3 +276,57 @@ def test_field_axioms(a, b, c):
 def test_nonzero_scalars_invert(a):
     if a:
         assert a * a.inverse() == 1
+
+
+def sympy_poly(sympy, t, coeffs):
+    return sum(sympy.Rational(c.numerator, c.denominator) * t**m for m, c in enumerate(coeffs))
+
+
+def sympy_reduced(sympy, t, order, expr):
+    """expr reduced mod Phi_N by sympy's rem, as a scalar."""
+    rem = sympy.rem(sympy.expand(expr), sympy.cyclotomic_poly(order, t), t)
+    out = [Fraction(int(c.p), int(c.q)) for c in reversed(sympy.Poly(rem, t).all_coeffs())]
+    deg = len(cyclotomic_polynomial(order)) - 1
+    return CycScalar(order, tuple(out + [Fraction(0)] * (deg - len(out))))
+
+
+@pytest.mark.parametrize("order", range(2, 13))
+def test_products_match_sympy_reduction(order):
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    rng = random.Random(1000 + order)
+    for _ in range(4):
+        a, b = rand_scalar(rng, order), rand_scalar(rng, order)
+        expected = sympy_reduced(
+            sympy, t, order, sympy_poly(sympy, t, a.coeffs) * sympy_poly(sympy, t, b.coeffs)
+        )
+        assert a * b == expected, order
+
+
+@pytest.mark.parametrize("order", range(2, 13))
+def test_from_poly_matches_sympy_reduction(order):
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    rng = random.Random(2000 + order)
+    for length in range(1, 3 * order + 1):
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(length)]
+        expected = sympy_reduced(sympy, t, order, sympy_poly(sympy, t, coeffs))
+        assert CycScalar.from_poly(order, coeffs) == expected, (order, length)
+
+
+@pytest.mark.parametrize("order", range(2, 13))
+def test_q_powers_match_sympy_reduction(order):
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    for k in range(order):
+        assert CycScalar.q_power(order, k) == sympy_reduced(sympy, t, order, t**k), (order, k)
+
+
+def test_cyclotomic_module_doctests_pass():
+    import doctest
+
+    import qgalois.cyclotomic
+
+    result = doctest.testmod(qgalois.cyclotomic)
+    assert result.attempted > 0
+    assert result.failed == 0

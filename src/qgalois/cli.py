@@ -122,6 +122,8 @@ class Token:
 
 
 _OPS = set("+-*^()")
+# ASCII only: str.isdigit also accepts characters such as '²' that int() rejects.
+_DIGITS = set("0123456789")
 
 
 def tokenize(src: str) -> list[Token]:
@@ -136,13 +138,13 @@ def tokenize(src: str) -> list[Token]:
             out.append(Token(ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < len(src) and src[j].isdigit():
+            while j < len(src) and src[j] in _DIGITS:
                 j += 1
-            if j < len(src) and src[j] == "/" and j + 1 < len(src) and src[j + 1].isdigit():
+            if j < len(src) and src[j] == "/" and j + 1 < len(src) and src[j + 1] in _DIGITS:
                 j += 1
-                while j < len(src) and src[j].isdigit():
+                while j < len(src) and src[j] in _DIGITS:
                     j += 1
             out.append(Token("num", src[i:j], i))
             i = j
@@ -414,7 +416,7 @@ def element_json(w: PlaneElement) -> dict:
 def matrix_json(m: RepMatrix) -> dict:
     return {
         "order": m.order,
-        "entries": [[scalar_json(e) for e in row] for row in m.entries],
+        "entries": [list(map(scalar_json, row)) for row in m.entries],
     }
 
 

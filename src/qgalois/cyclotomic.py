@@ -162,15 +162,7 @@ class CycScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        conv = [_ZERO] * (2 * len(a) - 1)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if bj:
-                    conv[i + j] += ai * bj
-        return _reduce(self.order, conv)
+        return _reduce(self.order, _poly_mul(self.coeffs, o.coeffs))
 
     __rmul__ = __mul__
 
@@ -263,22 +255,7 @@ class CycScalar:
         return f"CycScalar({self.order}, {self!s})"
 
     def __str__(self):
-        parts = []
-        for j, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if j == 0:
-                body = str(c)
-            else:
-                mono = "q" if j == 1 else f"q^{j}"
-                if c == 1:
-                    body = mono
-                elif c == -1:
-                    body = "-" + mono
-                else:
-                    body = f"{c}*{mono}"
-            parts.append(body)
-        return join_terms(parts)
+        return render_terms((c, (("q", j),)) for j, c in enumerate(self.coeffs))
 
 
 @functools.lru_cache(maxsize=None)
@@ -302,14 +279,31 @@ def power(base, k: int, one):
     return out
 
 
-def join_terms(parts: list[str]) -> str:
-    """Join rendered terms with + and -, a term's leading minus becoming the operator."""
-    if not parts:
-        return "0"
-    out = parts[0]
-    for p in parts[1:]:
-        out += " - " + p[1:] if p.startswith("-") else " + " + p
-    return out
+def render_terms(terms) -> str:
+    """The sum of (coefficient, monomial) terms as text; "0" when every coefficient is zero.
+
+    A monomial is a sequence of (symbol, exponent) factors.  Before a
+    monomial a coefficient of 1 or -1 is dropped to its sign, and a scalar of
+    several terms is parenthesised; a term's leading minus becomes the operator
+    joining it to the terms before.
+    """
+    out = ""
+    for c, mono in terms:
+        if not c:
+            continue
+        body = str(c)
+        if " " in body:  # a rendered scalar holds a space exactly when it has several terms
+            body = f"({body})"
+        factors = "*".join([s if e == 1 else f"{s}^{e}" for s, e in mono if e])
+        if factors:
+            body = body[:-1] + factors if body in ("1", "-1") else f"{body}*{factors}"
+        if not out:
+            out = body
+        elif body.startswith("-"):
+            out += " - " + body[1:]
+        else:
+            out += " + " + body
+    return out or "0"
 
 
 def _poly_divmod(a: list[Fraction], b: list[Fraction]):
@@ -351,10 +345,7 @@ def q_integer(k: int, order: int) -> CycScalar:
     """[k]_q = 1 + q + ... + q**(k-1); [0]_q = 0."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    acc = CycScalar.zero(order)
-    for j in range(k):
-        acc = acc + CycScalar.q_power(order, j)
-    return acc
+    return CycScalar.from_poly(order, [1] * k)
 
 
 def q_factorial(k: int, order: int) -> CycScalar:

@@ -17,6 +17,8 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Any
 
+from .cyclotomic import power
+
 
 class NotInvertible(ArithmeticError):
     """The element has no multiplicative inverse in its algebra."""
@@ -36,7 +38,8 @@ class CarrierAlgebra(ABC):
     generic over how q sits in the carrier's scalar field: the generator of
     Q(q) for the quantum plane, its square -1 in Q(i) for the quaternion
     instance.  ``element`` builds every extension element over the carrier,
-    so a carrier can give its elements a subclass of ExtElement.
+    so a carrier can give its elements a subclass of ExtElement; ``lift``
+    turns an operand that is not an extension element into one.
     """
 
     order: int
@@ -68,6 +71,10 @@ class CarrierAlgebra(ABC):
     def element(self, components) -> ExtElement:
         """The extension element with these components; every result is built here."""
         return ExtElement(self, components)
+
+    def lift(self, value) -> ExtElement | None:
+        """``value`` as an extension element, or None when it is no operand here."""
+        return None
 
 
 class KForm:
@@ -172,31 +179,56 @@ class ExtElement:
         if self.carrier != other.carrier:
             raise ValueError("elements live over different carriers")
 
+    def _coerce(self, other) -> ExtElement | None:
+        """An extension element over this carrier, else the carrier's lift of other."""
+        if isinstance(other, ExtElement):
+            self._check(other)
+            return other
+        return self.carrier.lift(other)
+
     def forms(self) -> list[KForm]:
         """The nonzero homogeneous components, in increasing degree."""
         c = self.carrier
         return [KForm(c, k, u) for k, u in enumerate(self.components) if not u.is_zero()]
 
-    def __add__(self, other: ExtElement) -> ExtElement:
-        if not isinstance(other, ExtElement):
+    def __add__(self, other) -> ExtElement:
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        self._check(other)
-        return self.carrier.element(a + b for a, b in zip(self.components, other.components))
+        return self.carrier.element(a + b for a, b in zip(self.components, o.components))
+
+    __radd__ = __add__
 
     def __neg__(self) -> ExtElement:
         return self.carrier.element(-a for a in self.components)
 
-    def __sub__(self, other: ExtElement) -> ExtElement:
-        if not isinstance(other, ExtElement):
+    def __sub__(self, other) -> ExtElement:
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        return self + (-other)
+        return self + (-o)
 
-    def __mul__(self, other: ExtElement) -> ExtElement:
-        if not isinstance(other, ExtElement):
+    def __rsub__(self, other) -> ExtElement:
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        self._check(other)
-        right = other.forms()
+        return o + (-self)
+
+    def __mul__(self, other) -> ExtElement:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        right = o.forms()
         return ExtElement.from_forms(self.carrier, (a * b for a in self.forms() for b in right))
+
+    def __rmul__(self, other) -> ExtElement:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return ExtElement.__mul__(o, self)
+
+    def __pow__(self, k: int) -> ExtElement:
+        return power(self, k, ExtElement.one(self.carrier))
 
     def scale(self, coeff) -> ExtElement:
         """Multiply every component by a scalar, through the carrier's ``*``."""
@@ -208,11 +240,13 @@ class ExtElement:
         return self.carrier.element(qk * u for u in self.components)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, ExtElement):
-            return NotImplemented
-        if self.carrier != other.carrier:
+        try:
+            o = self._coerce(other)
+        except ValueError:
             return False
-        return self.components == other.components
+        if o is None:
+            return NotImplemented
+        return self.components == o.components
 
     __hash__ = None
 
@@ -271,16 +305,6 @@ def delta(carrier: CarrierAlgebra, u):
     return u - carrier.phi(u)
 
 
-def delta_inverse(carrier: CarrierAlgebra, x):
-    """Delta(x)**-1; raises NonInvertibleCoordinate when there is none."""
-    try:
-        return carrier.invert(delta(carrier, x))
-    except NotInvertible as exc:
-        raise NonInvertibleCoordinate(
-            "coordinate has a non-invertible finite difference"
-        ) from exc
-
-
 class Coordinate:
     """A coordinate x of the carrier with Delta(x) and Delta(x)**-1.
 
@@ -291,10 +315,17 @@ class Coordinate:
     __slots__ = ("carrier", "x", "delta_x", "delta_inv")
 
     def __init__(self, carrier: CarrierAlgebra, x):
+        dx = delta(carrier, x)
+        try:
+            inv = carrier.invert(dx)
+        except NotInvertible as exc:
+            raise NonInvertibleCoordinate(
+                "coordinate has a non-invertible finite difference"
+            ) from exc
         object.__setattr__(self, "carrier", carrier)
         object.__setattr__(self, "x", x)
-        object.__setattr__(self, "delta_x", delta(carrier, x))
-        object.__setattr__(self, "delta_inv", delta_inverse(carrier, x))
+        object.__setattr__(self, "delta_x", dx)
+        object.__setattr__(self, "delta_inv", inv)
 
     def __setattr__(self, *_):
         raise AttributeError("Coordinate is immutable")

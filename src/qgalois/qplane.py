@@ -14,9 +14,10 @@ evaluates the y-components at the roots of x**N - 1.
 from __future__ import annotations
 
 import functools
+import operator
 from fractions import Fraction
 
-from .cyclotomic import CycScalar, join_terms, power
+from .cyclotomic import CycScalar, power, render_terms
 from .galois import CarrierAlgebra, ExtElement, NotInvertible
 
 _SCALARS = (int, Fraction, CycScalar)
@@ -28,6 +29,17 @@ def _as_scalar(order: int, value) -> CycScalar:
             raise ValueError("order mismatch")
         return value
     return CycScalar.from_rational(order, value)
+
+
+def _as_xpoly(order: int, value) -> "XPoly | None":
+    """A scalar or an XPoly of this order as an XPoly; None for any other operand."""
+    if isinstance(value, XPoly):
+        if value.order != order:
+            raise ValueError("order mismatch")
+        return value
+    if isinstance(value, _SCALARS):
+        return XPoly.from_scalar(order, value)
+    return None
 
 
 class XPoly:
@@ -73,17 +85,8 @@ class XPoly:
 
     # -- ring operations -----------------------------------------------------
 
-    def _coerce(self, other) -> "XPoly | None":
-        if isinstance(other, XPoly):
-            if other.order != self.order:
-                raise ValueError("order mismatch")
-            return other
-        if isinstance(other, _SCALARS):
-            return XPoly.from_scalar(self.order, other)
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
+        o = _as_xpoly(self.order, other)
         if o is None:
             return NotImplemented
         return XPoly(self.order, (a + b for a, b in zip(self.coeffs, o.coeffs)))
@@ -94,13 +97,13 @@ class XPoly:
         return XPoly(self.order, (-a for a in self.coeffs))
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = _as_xpoly(self.order, other)
         if o is None:
             return NotImplemented
         return self + (-o)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = _as_xpoly(self.order, other)
         if o is None:
             return NotImplemented
         return o - self
@@ -108,7 +111,7 @@ class XPoly:
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
             return self.scale(other)
-        o = self._coerce(other)
+        o = _as_xpoly(self.order, other)
         if o is None:
             return NotImplemented
         n = self.order
@@ -134,7 +137,7 @@ class XPoly:
 
     def __eq__(self, other) -> bool:
         try:
-            o = self._coerce(other)
+            o = _as_xpoly(self.order, other)
         except ValueError:
             return False
         if o is None:
@@ -182,9 +185,7 @@ class XPoly:
         return XPoly(n, (inv_n * w.evaluate_at_q_power(-l) for l in range(n)))
 
     def __str__(self):
-        return _terms_str(
-            ((c, _monomial_str("x", l)) for l, c in enumerate(self.coeffs) if c)
-        )
+        return render_terms((c, (("x", l),)) for l, c in enumerate(self.coeffs))
 
     def __repr__(self):
         return f"XPoly({self.order}, {self!s})"
@@ -221,6 +222,11 @@ class XPolyCarrier(CarrierAlgebra):
     def element(self, components) -> PlaneElement:
         return PlaneElement(self.order, components)
 
+    def lift(self, value) -> PlaneElement | None:
+        """A scalar or an ``XPoly`` of this order, embedded as the y**0 component."""
+        u = _as_xpoly(self.order, value)
+        return None if u is None else ExtElement.embed(self, u)
+
     def x(self) -> XPoly:
         return XPoly.x(self.order)
 
@@ -238,8 +244,8 @@ class PlaneElement(ExtElement):
     """sum_k y**k u_k(x): the extension over the x-subalgebra with tau = y.
 
     Component k is the coefficient of y**k; it may be given as an ``XPoly`` or
-    as the N scalar coefficients of x**0 .. x**(N-1).  Scalars and ``XPoly``
-    operands are lifted into the plane.
+    as the N scalar coefficients of x**0 .. x**(N-1).  The arithmetic is the
+    extension's, which lifts scalar and ``XPoly`` operands through the carrier.
     """
 
     __slots__ = ()
@@ -281,75 +287,16 @@ class PlaneElement(ExtElement):
     def from_scalar(order: int, value) -> PlaneElement:
         return PlaneElement.monomial(order, 0, 0, value)
 
-    # -- ring operations -----------------------------------------------------
-
-    def _coerce(self, other) -> "ExtElement | None":
-        if isinstance(other, ExtElement):
-            return other
-        if isinstance(other, _SCALARS):
-            return PlaneElement.from_scalar(self.order, other)
-        if isinstance(other, XPoly):
-            if other.order != self.order:
-                raise ValueError("order mismatch")
-            return ExtElement.embed(self.carrier, other)
-        return None
-
-    # The reflected operators call ExtElement's directly: ``o * self`` would
-    # come back here, since Python tries a subclass's reflected operator first.
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ExtElement.__add__(self, o)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ExtElement.__sub__(self, o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ExtElement.__sub__(o, self)
-
     def __mul__(self, other):
         """(y**a x**b)(y**c x**d) = q**(b c) y**(a+c) x**(b+d): the extension's product."""
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ExtElement.__mul__(self, o)
-
-    def __rmul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ExtElement.__mul__(o, self)
-
-    def __pow__(self, k: int):
-        return power(self, k, PlaneElement.one(self.order))
-
-    def __eq__(self, other) -> bool:
-        try:
-            o = self._coerce(other)
-        except ValueError:
-            return False
-        if o is None:
-            return NotImplemented
-        return ExtElement.__eq__(self, o)
+        return ExtElement.__mul__(self, other)
 
     def __str__(self):
-        terms = []
-        for k, row in enumerate(self.components):
-            for l, c in enumerate(row.coeffs):
-                if c:
-                    mono = "*".join(p for p in (_monomial_str("y", k), _monomial_str("x", l)) if p)
-                    terms.append((c, mono))
-        return _terms_str(terms)
+        return render_terms(
+            (c, (("y", k), ("x", l)))
+            for k, row in enumerate(self.components)
+            for l, c in enumerate(row.coeffs)
+        )
 
     def __repr__(self):
         return f"PlaneElement({self.order}, {self!s})"
@@ -381,15 +328,14 @@ class RepMatrix:
     def __add__(self, other):
         self._check(other)
         return RepMatrix(
-            self.order,
-            ((a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
+            self.order, (map(operator.add, r1, r2) for r1, r2 in zip(self.entries, other.entries))
         )
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return RepMatrix(self.order, ((-a for a in row) for row in self.entries))
+        return RepMatrix(self.order, (map(operator.neg, row) for row in self.entries))
 
     def __mul__(self, other):
         self._check(other)
@@ -415,7 +361,7 @@ class RepMatrix:
 
     def scale(self, coeff) -> RepMatrix:
         c = _as_scalar(self.order, coeff)
-        return RepMatrix(self.order, ((c * a for a in row) for row in self.entries))
+        return RepMatrix(self.order, (map(c.__mul__, row) for row in self.entries))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RepMatrix):
@@ -428,9 +374,7 @@ class RepMatrix:
         return all(not e for row in self.entries for e in row)
 
     def __str__(self):
-        return "\n".join(
-            "[" + ", ".join(str(e) for e in row) + "]" for row in self.entries
-        )
+        return "\n".join("[" + ", ".join(map(str, row)) + "]" for row in self.entries)
 
     def __repr__(self):
         return f"RepMatrix({self.order})\n{self!s}"
@@ -444,9 +388,9 @@ def represent(w: PlaneElement) -> RepMatrix:
     components evaluated at the roots of x**N - 1.
     """
     n = w.carrier.order
-    return RepMatrix(
-        n, ((w.component(j - i).evaluate_at_q_power(-j) for j in range(n)) for i in range(n))
-    )
+    rows = (map(w.component, range(-i, n - i)) for i in range(n))  # u_(j-i) in column j
+    roots = range(0, -n, -1)  # column j evaluates at q**-j
+    return RepMatrix(n, (map(XPoly.evaluate_at_q_power, row, roots) for row in rows))
 
 
 @functools.lru_cache(maxsize=None)
@@ -496,35 +440,3 @@ def scalar_rank(vectors: list[list[CycScalar]]) -> int:
         if rank == len(rows):
             break
     return rank
-
-
-# -- shared term rendering ------------------------------------------------------
-
-
-def _monomial_str(sym: str, power: int) -> str:
-    if power == 0:
-        return ""
-    if power == 1:
-        return sym
-    return f"{sym}^{power}"
-
-
-def _scalar_is_single_term(c: CycScalar) -> bool:
-    return sum(1 for a in c.coeffs if a) <= 1
-
-
-def _terms_str(terms) -> str:
-    parts = []
-    for c, mono in terms:
-        cs = str(c)
-        if not mono:
-            parts.append(cs if _scalar_is_single_term(c) else f"({cs})")
-        elif cs == "1":
-            parts.append(mono)
-        elif cs == "-1":
-            parts.append("-" + mono)
-        elif _scalar_is_single_term(c):
-            parts.append(f"{cs}*{mono}")
-        else:
-            parts.append(f"({cs})*{mono}")
-    return join_terms(parts)

@@ -3,10 +3,12 @@
 perfbench/layers.py wraps these targets for ``--trace 1`` and counts their
 calls; a renamed or deleted library function would break tracing or silently
 stop counting its layer.  The module is loaded by path and left unchanged.
+The counter reads cProfile, so no two library code objects may share its key.
 """
 
 import importlib
 import importlib.util
+import types
 from pathlib import Path
 
 import pytest
@@ -40,3 +42,18 @@ def test_layer_target_is_defined_on_its_owner(target):
 
 def test_every_layer_has_targets():
     assert all(layers.LAYERS.values()) and all(layers.COUNTED.values())
+
+
+def test_no_two_code_objects_share_a_profile_key():
+    """cProfile keys a function by (file, first line, name); two code objects
+    on one key would merge or drop one of their call counts."""
+    src = LAYERS_PY.parent.parent / "src" / "qgalois"
+    for path in sorted(src.glob("*.py")):
+        keys = []
+        stack = [compile(path.read_text(), str(path), "exec")]
+        while stack:
+            code = stack.pop()
+            keys.append((code.co_firstlineno, code.co_name))
+            stack.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+        shared = sorted(k for k in set(keys) if keys.count(k) > 1)
+        assert not shared, f"{path.name}: {shared}"

@@ -364,3 +364,12 @@ def test_element_json_of_a_plane_element_built_from_rationals():
     assert element_json(w) == element_json(
         PlaneElement.monomial(2, 0, 0, Fraction(1, 2)) + PlaneElement.monomial(2, 1, 1, 3)
     )
+
+
+@pytest.mark.parametrize(
+    "expr,offset,char", [("3\u00b2", 1, "\u00b2"), ("x^\u00b2", 2, "\u00b2"), ("x+\u0661", 2, "\u0661")]
+)
+def test_only_ascii_digits_are_numbers(capsys, expr, offset, char):
+    assert main(["normalize", "--order", "3", expr]) == 2
+    err = capsys.readouterr().err
+    assert f"syntax error at offset {offset}: expected a token, found {char!r}" in err

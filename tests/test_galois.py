@@ -392,3 +392,45 @@ def test_x_inverse_round_trip_inverts_each_sample_once(order, monkeypatch):
     assert all(rows)
     assert len(attempts) >= 4
     assert inverted == attempts
+
+
+# -- operand lifting through the carrier ----------------------------------------
+
+
+LIFTED = [3, Fraction(-2, 3), CycScalar.from_poly(3, (1, 2)), XPoly(3, (1, 0, Fraction(1, 2)))]
+
+
+@pytest.mark.parametrize("other", LIFTED, ids=["int", "Fraction", "CycScalar", "XPoly"])
+def test_plain_extension_lifts_operands_like_its_plane_twin(other):
+    carrier = XPolyCarrier(3)
+    plane = PlaneElement.x(3) + PlaneElement.y(3).scale(2)
+    plain = ExtElement(carrier, plane.components)
+    assert type(plain) is ExtElement
+    for op in (
+        lambda a, b: a + b,
+        lambda a, b: a - b,
+        lambda a, b: a * b,
+        lambda a, b: b + a,
+        lambda a, b: b - a,
+        lambda a, b: b * a,
+    ):
+        assert op(plain, other) == op(plane, other)
+    assert plain == plane and (plain == other) == (plane == other)
+    lifted = carrier.lift(other)
+    assert lifted == other and other == lifted and lifted.degree() == 0
+
+
+def test_plain_extension_rejects_an_xpoly_of_another_order():
+    plain = ExtElement(XPolyCarrier(3), PlaneElement.x(3).components)
+    other = XPoly.x(4)
+    assert plain != other and other != plain
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(ValueError):
+            op(plain, other)
+        with pytest.raises(ValueError):
+            op(other, plain)
+
+
+def test_only_the_plane_carrier_lifts():
+    assert CARRIER.lift(1) is None
+    assert XPolyCarrier(3).lift("x") is None

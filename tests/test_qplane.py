@@ -489,3 +489,41 @@ def test_represent_accepts_a_generic_extension_element():
         w = rand_plane(rng, order)
         ext = ExtElement(XPolyCarrier(order), w.components)
         assert represent(ext) == represent(w)
+
+
+Q3 = CycScalar.q(3)
+X3, Y3 = PlaneElement.x(3), PlaneElement.y(3)
+
+
+# One printed form per branch of the term renderer.
+@pytest.mark.parametrize(
+    "value,text",
+    [
+        (CycScalar.zero(5), "0"),
+        (-CycScalar.q(5), "-q"),
+        (1 - CycScalar.q(5) + 2 * CycScalar.q(5) ** 2, "1 - q + 2*q^2"),
+        (PlaneElement.from_scalar(3, 1 + Q3), "(1 + q)"),
+        (XPoly(3, [1 + Q3, 0, -1]), "(1 + q) - x^2"),
+        (-XPoly.x(3), "-x"),
+        (-X3, "-x"),
+        (X3.scale(Fraction(-1, 2)), "-1/2*x"),
+        ((Y3 * X3).scale(1 - Q3), "(1 - q)*y*x"),
+        (X3 - (Y3 ** 2).scale(2), "x - 2*y^2"),
+        (represent(X3.scale(1 - Q3) + Y3), "[1 - q, 1, 0]\n[0, -2 - q, 1]\n[1, 0, 1 + 2*q]"),
+    ],
+    ids=[
+        "zero",
+        "negative-monomial",
+        "scalar-sum",
+        "multi-term-constant",
+        "xpoly-multi-term-constant",
+        "xpoly-minus-one",
+        "plane-minus-one",
+        "fraction-coefficient",
+        "multi-term-coefficient",
+        "negative-coefficient-joins",
+        "matrix",
+    ],
+)
+def test_term_renderer_branches(value, text):
+    assert str(value) == text

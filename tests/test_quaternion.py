@@ -149,3 +149,9 @@ def test_dx_basis_folds_tau_squared_to_minus_one():
     assert dx_squared == dx * dx
     assert dx_squared.degree == 0
     assert to_quaternion(ExtElement.from_forms(CARRIER, [dx_squared])) == (-4, 0, 0, 0)
+
+
+def test_quaternion_powers():
+    assert QUAT_I ** 2 == -QUAT_ONE
+    assert QUAT_J ** 4 == QUAT_ONE
+    assert QUAT_K ** 0 == QUAT_ONE

@@ -330,3 +330,10 @@ def test_cyclotomic_module_doctests_pass():
     result = doctest.testmod(qgalois.cyclotomic)
     assert result.attempted > 0
     assert result.failed == 0
+
+
+@pytest.mark.parametrize("order", range(2, 13))
+def test_q_integer_is_the_sum_of_q_powers(order):
+    for k in range(2 * order + 1):
+        expected = sum((CycScalar.q_power(order, j) for j in range(k)), CycScalar.zero(order))
+        assert q_integer(k, order).coeffs == expected.coeffs

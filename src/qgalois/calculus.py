@@ -81,12 +81,12 @@ def build_families(carrier: CarrierAlgebra, x) -> PolyFamilies:
     for k in range(1, n):
         dx_pow.append(carrier.phi(dx_pow[-1]) * dx)
         dx_pow_inv.append(dx_inv * carrier.phi(dx_pow_inv[-1]))
-        dkx.append(dkx[-1] - carrier.q_element(k) * carrier.phi(dkx[-1]))
+        dkx.append(dkx[-1] - carrier.phi(dkx[-1]) * carrier.q_element(k))
 
     phi1 = dx_pow_inv[1] * dkx[1]
     connection = [phi1]
     for k in range(1, n - 1):
-        connection.append(conjugation_dx(connection[-1], coord) + carrier.q_element(k) * phi1)
+        connection.append(conjugation_dx(connection[-1], coord) + phi1 * carrier.q_element(k))
 
     return PolyFamilies(
         coordinate=coord,
@@ -144,7 +144,7 @@ def covariant_operator(fam: PolyFamilies, k: int) -> Callable[[Any], Any]:
     phik = fam.connection[k - 1]
 
     def apply(u):
-        return qk * (dx_inv * delta(c, u)) + phik * u
+        return dx_inv * delta(c, u) * qk + phik * u
 
     return apply
 

@@ -11,7 +11,8 @@ Expression grammar (whitespace is free):
 
 Rationals are written as ``7`` or ``7/3``; parentheses, unary minus and calls
 nest at most 100 deep.  Exit codes: 0 success, 1 a verify run found a failing
-identity, 2 usage, parse, or evaluation errors.
+identity, 2 usage, parse, or evaluation errors, and output that cannot be
+written (a full disk, a closed pipe).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import operator
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -608,9 +610,16 @@ def main(argv=None) -> int:
     if args.fn is cmd_verify and args.cases < 1:
         parser.error("--cases must be at least 1")
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        if sys.stdout is not None:  # None when the process started with stdout closed
+            sys.stdout.flush()  # a write error surfaces here, not in the exit flush
+        return code
     except (ParseError, EvalError, NotInvertible) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        sys.stdout = open(os.devnull, "w")  # what stays buffered is dropped at exit
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
         return 2
 
 

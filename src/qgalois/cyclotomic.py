@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from fractions import Fraction
 
 Rational = Fraction
@@ -74,7 +75,62 @@ def _reduce(order: int, vec) -> CycScalar:
     return CycScalar(order, tuple(acc))
 
 
-class CycScalar:
+class Componentwise:
+    """Sum, difference, equality and the zero test of a vector in a fixed basis.
+
+    Q(q), the x-subalgebra and the extension are each a Q(q)-vector space in
+    a fixed basis, where these rules act coefficient by coefficient.  A
+    subclass supplies ``_parts``, its coefficient tuple; ``_new(parts)``, the
+    element of the same space with those coefficients; and ``_coerce(other)``,
+    which returns ``other`` as such an element, None for a foreign operand
+    (the operator then returns NotImplemented), and raises ValueError for an
+    element of another order or carrier (which ``==`` reads as unequal).
+    """
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._new(tuple(map(operator.add, self._parts, o._parts)))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._new(tuple(map(operator.neg, self._parts)))
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._new(tuple(map(operator.sub, self._parts, o._parts)))
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._new(tuple(map(operator.sub, o._parts, self._parts)))
+
+    def __eq__(self, other) -> bool:
+        try:
+            o = self._coerce(other)
+        except ValueError:
+            return False
+        if o is None:
+            return NotImplemented
+        return self._parts == o._parts
+
+    __hash__ = None
+
+    def __bool__(self) -> bool:
+        return any(self._parts)
+
+    def is_zero(self) -> bool:
+        return not self
+
+
+class CycScalar(Componentwise):
     """A scalar in Q(q) with q of multiplicative order ``order``.
 
     ``coeffs`` is the canonical residue mod the cyclotomic polynomial,
@@ -126,6 +182,11 @@ class CycScalar:
 
     # -- ring structure ----------------------------------------------------
 
+    _parts = property(operator.attrgetter("coeffs"))
+
+    def _new(self, parts) -> CycScalar:
+        return CycScalar(self.order, parts)
+
     def _coerce(self, other) -> "CycScalar | None":
         if isinstance(other, CycScalar):
             if other.order != self.order:
@@ -135,28 +196,12 @@ class CycScalar:
             return CycScalar.from_rational(self.order, other)
         return None
 
+    # Code objects of their own, so a profile tells scalar sums from the other kinds.
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return CycScalar(self.order, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CycScalar(self.order, tuple(-a for a in self.coeffs))
+        return Componentwise.__add__(self, other)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return CycScalar(self.order, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        return Componentwise.__sub__(self, other)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -214,21 +259,6 @@ class CycScalar:
         return power(self, k, CycScalar.one(self.order))
 
     # -- comparisons and views ----------------------------------------------
-
-    def __bool__(self) -> bool:
-        return any(self.coeffs)
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        try:
-            o = self._coerce(other)
-        except ValueError:
-            return False
-        if o is None:
-            return NotImplemented
-        return self.coeffs == o.coeffs
 
     def __hash__(self):
         if self.is_rational():

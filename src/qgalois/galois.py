@@ -14,10 +14,11 @@ d(uv) = d(u) v + q**|u| u d(v).
 
 from __future__ import annotations
 
+import operator
 from abc import ABC, abstractmethod
 from typing import Any
 
-from .cyclotomic import power
+from .cyclotomic import Componentwise, power
 
 
 class NotInvertible(ArithmeticError):
@@ -31,15 +32,16 @@ class NonInvertibleCoordinate(NotInvertible):
 class CarrierAlgebra(ABC):
     """The structure a carrier algebra adds to its elements' own arithmetic.
 
-    Carrier elements provide ``+``, ``-``, ``*``, ``==``, unary minus and
-    ``is_zero()``; the carrier supplies what is not a plain operator.
-    ``order`` is N; ``tau_sign`` the sign s in tau**N = s*1.  ``q_element(k)``
-    embeds the scalar q**k into the carrier, which keeps the grading code
-    generic over how q sits in the carrier's scalar field: the generator of
-    Q(q) for the quantum plane, its square -1 in Q(i) for the quaternion
-    instance.  ``element`` builds every extension element over the carrier,
-    so a carrier can give its elements a subclass of ExtElement; ``lift``
-    turns an operand that is not an extension element into one.
+    Carrier elements provide ``+``, ``-``, ``*``, ``==``, unary minus and a
+    truth value that is false exactly at zero; the carrier supplies what is
+    not a plain operator.  ``order`` is N; ``tau_sign`` the sign s in
+    tau**N = s*1.  ``q_element(k)`` is the scalar q**k, which acts on carrier
+    elements through ``u * q_element(k)``; it keeps the grading code generic
+    over how q sits in the carrier's scalar field: the generator of Q(q) for
+    the quantum plane, its square -1 in Q(i) for the quaternion instance.
+    ``element`` builds every extension element over the carrier, so a carrier
+    can give its elements a subclass of ExtElement; ``lift`` turns an operand
+    that is not an extension element into one.
     """
 
     order: int
@@ -61,7 +63,7 @@ class CarrierAlgebra(ABC):
 
     @abstractmethod
     def q_element(self, k: int) -> Any:
-        """The scalar q**k as a carrier element."""
+        """The scalar q**k, acting on carrier elements through ``*``."""
 
     def phi_power(self, u, k: int):
         for _ in range(k % self.order):
@@ -110,7 +112,7 @@ class KForm:
         """d(tau**k u) = tau**(k+1) (u - q**k phi(u))."""
         c = self.carrier
         k = self.degree
-        return KForm(c, k + 1, self.coeff - c.q_element(k) * c.phi(self.coeff))
+        return KForm(c, k + 1, self.coeff - c.phi(self.coeff) * c.q_element(k))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, KForm):
@@ -124,13 +126,13 @@ class KForm:
     __hash__ = None
 
     def is_zero(self) -> bool:
-        return self.coeff.is_zero()
+        return not self.coeff
 
     def __repr__(self):
         return f"KForm(degree={self.degree}, coeff={self.coeff!r})"
 
 
-class ExtElement:
+class ExtElement(Componentwise):
     """An element sum_k tau**k u_k of the extension, stored by components."""
 
     __slots__ = ("carrier", "components")
@@ -179,6 +181,11 @@ class ExtElement:
         if self.carrier != other.carrier:
             raise ValueError("elements live over different carriers")
 
+    _parts = property(operator.attrgetter("components"))
+
+    def _new(self, parts) -> ExtElement:
+        return self.carrier.element(parts)
+
     def _coerce(self, other) -> ExtElement | None:
         """An extension element over this carrier, else the carrier's lift of other."""
         if isinstance(other, ExtElement):
@@ -189,30 +196,7 @@ class ExtElement:
     def forms(self) -> list[KForm]:
         """The nonzero homogeneous components, in increasing degree."""
         c = self.carrier
-        return [KForm(c, k, u) for k, u in enumerate(self.components) if not u.is_zero()]
-
-    def __add__(self, other) -> ExtElement:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.carrier.element(a + b for a, b in zip(self.components, o.components))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> ExtElement:
-        return self.carrier.element(-a for a in self.components)
-
-    def __sub__(self, other) -> ExtElement:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other) -> ExtElement:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        return [KForm(c, k, u) for k, u in enumerate(self.components) if u]
 
     def __mul__(self, other) -> ExtElement:
         o = self._coerce(other)
@@ -236,22 +220,7 @@ class ExtElement:
 
     def scale_by_q(self, k: int) -> ExtElement:
         """Multiply by the central scalar q**k."""
-        qk = self.carrier.q_element(k)
-        return self.carrier.element(qk * u for u in self.components)
-
-    def __eq__(self, other) -> bool:
-        try:
-            o = self._coerce(other)
-        except ValueError:
-            return False
-        if o is None:
-            return NotImplemented
-        return self.components == o.components
-
-    __hash__ = None
-
-    def is_zero(self) -> bool:
-        return all(u.is_zero() for u in self.components)
+        return self.scale(self.carrier.q_element(k))
 
     def is_homogeneous(self) -> bool:
         return len(self.forms()) <= 1
@@ -284,11 +253,11 @@ def q_commutator(v: ExtElement, u: ExtElement) -> ExtElement:
     c = v.carrier
     out = ExtElement.zero(c)
     for a, va in enumerate(v.components):
-        if va.is_zero():
+        if not va:
             continue
         ea = ExtElement.from_component(c, a, va)
         for b, ub in enumerate(u.components):
-            if ub.is_zero():
+            if not ub:
                 continue
             eb = ExtElement.from_component(c, b, ub)
             out = out + ea * eb - (eb * ea).scale_by_q(a * b)

@@ -17,7 +17,7 @@ import functools
 import operator
 from fractions import Fraction
 
-from .cyclotomic import CycScalar, power, render_terms
+from .cyclotomic import Componentwise, CycScalar, power, render_terms
 from .galois import CarrierAlgebra, ExtElement, NotInvertible
 
 _SCALARS = (int, Fraction, CycScalar)
@@ -31,18 +31,7 @@ def _as_scalar(order: int, value) -> CycScalar:
     return CycScalar.from_rational(order, value)
 
 
-def _as_xpoly(order: int, value) -> "XPoly | None":
-    """A scalar or an XPoly of this order as an XPoly; None for any other operand."""
-    if isinstance(value, XPoly):
-        if value.order != order:
-            raise ValueError("order mismatch")
-        return value
-    if isinstance(value, _SCALARS):
-        return XPoly.from_scalar(order, value)
-    return None
-
-
-class XPoly:
+class XPoly(Componentwise):
     """An element of the x-subalgebra: sum_l c_l x**l with x**N = 1."""
 
     __slots__ = ("order", "coeffs")
@@ -85,33 +74,25 @@ class XPoly:
 
     # -- ring operations -----------------------------------------------------
 
-    def __add__(self, other):
-        o = _as_xpoly(self.order, other)
-        if o is None:
-            return NotImplemented
-        return XPoly(self.order, (a + b for a, b in zip(self.coeffs, o.coeffs)))
+    _parts = property(operator.attrgetter("coeffs"))
 
-    __radd__ = __add__
+    def _new(self, parts) -> XPoly:
+        return XPoly(self.order, parts)
 
-    def __neg__(self):
-        return XPoly(self.order, (-a for a in self.coeffs))
-
-    def __sub__(self, other):
-        o = _as_xpoly(self.order, other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = _as_xpoly(self.order, other)
-        if o is None:
-            return NotImplemented
-        return o - self
+    def _coerce(self, other) -> "XPoly | None":
+        """A scalar or an XPoly of this order as an XPoly; None for any other operand."""
+        if isinstance(other, XPoly):
+            if other.order != self.order:
+                raise ValueError("order mismatch")
+            return other
+        if isinstance(other, _SCALARS):
+            return XPoly.from_scalar(self.order, other)
+        return None
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
             return self.scale(other)
-        o = _as_xpoly(self.order, other)
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
         n = self.order
@@ -134,20 +115,6 @@ class XPoly:
         """Multiply every coefficient by a scalar; zero coefficients are kept as they are."""
         c = _as_scalar(self.order, coeff)
         return XPoly(self.order, (c * a if a else a for a in self.coeffs))
-
-    def __eq__(self, other) -> bool:
-        try:
-            o = _as_xpoly(self.order, other)
-        except ValueError:
-            return False
-        if o is None:
-            return NotImplemented
-        return self.coeffs == o.coeffs
-
-    __hash__ = None
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
 
     # -- the structure maps --------------------------------------------------
 
@@ -217,14 +184,14 @@ class XPolyCarrier(CarrierAlgebra):
         return u.inverse()
 
     def q_element(self, k: int):
-        return XPoly.from_scalar(self.order, CycScalar.q_power(self.order, k))
+        return CycScalar.q_power(self.order, k)
 
     def element(self, components) -> PlaneElement:
         return PlaneElement(self.order, components)
 
     def lift(self, value) -> PlaneElement | None:
         """A scalar or an ``XPoly`` of this order, embedded as the y**0 component."""
-        u = _as_xpoly(self.order, value)
+        u = self.zero()._coerce(value)
         return None if u is None else ExtElement.embed(self, u)
 
     def x(self) -> XPoly:

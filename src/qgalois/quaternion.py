@@ -40,7 +40,7 @@ class ConjugationCarrier(CarrierAlgebra):
         return u.galois(-1)
 
     def invert(self, u):
-        if u.is_zero():
+        if not u:
             raise NotInvertible("zero has no inverse")
         return u.inverse()
 

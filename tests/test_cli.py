@@ -1,8 +1,12 @@
 """Expression front end: tokenizer, parser, evaluator, commands, goldens."""
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+from datetime import timedelta
 from fractions import Fraction
 from pathlib import Path
 
@@ -373,3 +377,65 @@ def test_only_ascii_digits_are_numbers(capsys, expr, offset, char):
     assert main(["normalize", "--order", "3", expr]) == 2
     err = capsys.readouterr().err
     assert f"syntax error at offset {offset}: expected a token, found {char!r}" in err
+
+
+@contextlib.contextmanager
+def _closed_pipe():
+    """The write end of a pipe whose read end is already closed."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        yield write
+    finally:
+        os.close(write)
+
+
+@contextlib.contextmanager
+def _dev_full():
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    with open("/dev/full", "wb") as sink:
+        yield sink
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("sink", [_dev_full, _closed_pipe], ids=["dev-full", "closed-pipe"])
+def test_an_output_that_cannot_be_written_is_a_user_error(sink, unbuffered):
+    env = dict(os.environ)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    else:
+        env.pop("PYTHONUNBUFFERED", None)
+    with sink() as out:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qgalois", "tables", "--order", "2"],
+            stdout=out,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write the output: ")
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+# The grammar's alphabet; strings of these tokens reach every branch of the parser.
+_FUZZ_TOKENS = [*"0123456789/qxy", "d(", "partial(", "D1(", "D9(", *"+-*^()", " "]
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=5))
+@given(
+    tokens=st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=20),
+    command=st.sampled_from(["normalize", "diff", "matrix"]),
+    order=st.integers(min_value=2, max_value=8),
+    json_flag=st.booleans(),
+    approx=st.booleans(),
+)
+def test_fuzzed_expressions_exit_0_or_2(tokens, command, order, json_flag, approx):
+    argv = [command, "--order", str(order)]
+    argv += ["--json"] * json_flag + ["--approx"] * (approx and command == "matrix")
+    argv += ["--", "".join(tokens)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) in (0, 2)

@@ -434,3 +434,120 @@ def test_plain_extension_rejects_an_xpoly_of_another_order():
 def test_only_the_plane_carrier_lifts():
     assert CARRIER.lift(1) is None
     assert XPolyCarrier(3).lift("x") is None
+
+
+# -- componentwise arithmetic, shared by scalars, x-polynomials and extensions ----
+
+
+def _plain(order, *rows):
+    """A plain ExtElement over the x-subalgebra, not its PlaneElement twin."""
+    comps = [XPoly(order, row) for row in rows]
+    comps += [XPoly.zero(order)] * (order - len(comps))
+    return ExtElement(XPolyCarrier(order), comps)
+
+
+# kind -> (zero, a, b, an element of another order or carrier, lifts rationals)
+COMPONENTWISE = {
+    "CycScalar": lambda: (
+        CycScalar.zero(5),
+        CycScalar.from_poly(5, [1, -2, 0, 3]),
+        CycScalar.from_poly(5, [Fraction(1, 3), 0, 4]),
+        CycScalar.q(7),
+        True,
+    ),
+    "XPoly": lambda: (
+        XPoly.zero(3),
+        XPoly(3, [1, CycScalar.q(3), 0]),
+        XPoly(3, [0, Fraction(2, 5), -1]),
+        XPoly.x(4),
+        True,
+    ),
+    "PlaneElement": lambda: (
+        PlaneElement.zero(3),
+        PlaneElement.x(3) + PlaneElement.y(3),
+        PlaneElement.monomial(3, 2, 1, CycScalar.q(3)) - 4,
+        PlaneElement.y(4),
+        True,
+    ),
+    "ExtElement": lambda: (
+        _plain(3, [0, 0, 0]),
+        _plain(3, [1, 2, 0], [0, 0, -1]),
+        _plain(3, [0, 0, 0], [5, 0, 0], [0, Fraction(1, 2), 0]),
+        _plain(4, [1, 0, 0, 0]),
+        True,
+    ),
+    "quaternion": lambda: (
+        ExtElement.zero(CARRIER),
+        from_quaternion(1, 2, 0, -3),
+        from_quaternion(0, Fraction(1, 2), 4, 1),
+        PlaneElement.y(2),
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", COMPONENTWISE)
+def test_truth_value_is_false_exactly_at_zero(kind):
+    zero, a, b, _, _ = COMPONENTWISE[kind]()
+    assert not zero and zero.is_zero()
+    for u in (a, b, -a):
+        assert u and not u.is_zero()
+    assert not (a - a) and (a - a).is_zero()
+
+
+@pytest.mark.parametrize("kind", COMPONENTWISE)
+def test_difference_is_the_sum_with_the_negative(kind):
+    zero, a, b, _, lifts = COMPONENTWISE[kind]()
+    assert a - b == a + (-b)
+    assert b - a == -(a - b)
+    assert a + zero == a and zero - a == -a
+    if lifts:
+        half = Fraction(1, 2)
+        assert half - a == -(a - half)
+        assert 1 + a == a + 1 and (a + 1) - 1 == a
+    else:
+        with pytest.raises(TypeError):
+            a + 1
+        with pytest.raises(TypeError):
+            1 - a
+
+
+@pytest.mark.parametrize("kind", COMPONENTWISE)
+def test_another_order_is_unequal_and_no_operand(kind):
+    _, a, _, other, _ = COMPONENTWISE[kind]()
+    assert (a == other) is False and (other == a) is False
+    assert a != other
+    for op in (lambda u, v: u + v, lambda u, v: u - v, lambda u, v: v + u, lambda u, v: v - u):
+        with pytest.raises(ValueError):
+            op(a, other)
+
+
+@pytest.mark.parametrize("kind", COMPONENTWISE)
+def test_a_foreign_operand_is_a_type_error(kind):
+    _, a, _, _, _ = COMPONENTWISE[kind]()
+    foreign = object()
+    assert (a == foreign) is False
+    for op in (lambda u, v: u + v, lambda u, v: u - v, lambda u, v: v + u, lambda u, v: v - u):
+        with pytest.raises(TypeError):
+            op(a, foreign)
+
+
+@pytest.mark.parametrize("order", [2, 3, 5, 8])
+def test_q_element_is_the_scalar_q_power(order):
+    carrier = XPolyCarrier(order)
+    rng = random.Random(order)
+    xi = PlaneElement(order, [rand_xpoly(rng, order) for _ in range(order)])
+    plain = ExtElement(carrier, xi.components)
+    for k in range(-1, order + 1):
+        qk = CycScalar.q_power(order, k)
+        assert type(carrier.q_element(k)) is CycScalar and carrier.q_element(k) == qk
+        expected = xi.scale(qk)
+        assert xi.scale_by_q(k) == expected and plain.scale_by_q(k) == expected
+        # the route through the constant x-polynomial q^k gives the same element
+        assert expected == PlaneElement(order, [XPoly.from_scalar(order, qk) * u for u in xi.components])
+
+
+def test_quaternion_scale_by_q_is_the_sign_of_the_grading():
+    xi = from_quaternion(1, 2, 3, 4)
+    assert xi.scale_by_q(0) == xi and xi.scale_by_q(1) == -xi
+    assert xi.scale_by_q(1) == xi.scale(CARRIER.q_element(1))

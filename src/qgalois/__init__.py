@@ -1,8 +1,9 @@
 """Exact graded q-differential calculus on semi-commutative Galois extensions.
 
-The two worked instances are the reduced quantum plane at a primitive N-th
-root of unity (carrier: the x-subalgebra, tau = y) and the quaternions as a
-Z_2-graded extension of the complex line (tau = i, q = -1).
+Both worked instances run on one carrier, the x-subalgebra with x**N =
+tau**N = s: the reduced quantum plane at a primitive N-th root of unity
+(s = 1, tau = y) and the quaternions as a Z_2-graded extension of the complex
+line (s = -1, N = 2, tau = i, x = j, q = -1).
 """
 
 from .cyclotomic import CycScalar, Rational, cyclotomic_polynomial, q_factorial, q_integer
@@ -45,7 +46,6 @@ from .qplane import (
     represent,
 )
 from .quaternion import (
-    ConjugationCarrier,
     from_quaternion,
     linear_decomposition,
     second_right_derivative,
@@ -55,7 +55,6 @@ from .quaternion import (
 __all__ = [
     "CarrierAlgebra",
     "CheckResult",
-    "ConjugationCarrier",
     "Coordinate",
     "CycScalar",
     "ExtElement",

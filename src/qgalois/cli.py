@@ -610,9 +610,10 @@ def main(argv=None) -> int:
     if args.fn is cmd_verify and args.cases < 1:
         parser.error("--cases must be at least 1")
     try:
+        if sys.stdout is None:  # the process started with stdout closed
+            raise OSError("standard output is closed")
         code = args.fn(args)
-        if sys.stdout is not None:  # None when the process started with stdout closed
-            sys.stdout.flush()  # a write error surfaces here, not in the exit flush
+        sys.stdout.flush()  # a write error surfaces here, not in the exit flush
         return code
     except (ParseError, EvalError, NotInvertible) as exc:
         print(f"error: {exc}", file=sys.stderr)

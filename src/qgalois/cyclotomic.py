@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import math
 import operator
 from fractions import Fraction
 
@@ -225,19 +224,6 @@ class CycScalar(Componentwise):
         # r0 is a nonzero constant: Phi is irreducible over Q
         lead = next(c for c in reversed(r0) if c)
         return _reduce(self.order, [c / lead for c in s0])
-
-    def galois(self, k: int) -> CycScalar:
-        """The automorphism sigma_k: q -> q**k of Q(q), for k coprime to the order.
-
-        Coefficient m moves to index k*m mod N, then one reduction mod Phi_N.
-        """
-        n = self.order
-        if math.gcd(k, n) != 1:
-            raise ValueError(f"q -> q^{k} is not an automorphism at order {n}")
-        moved = [_ZERO] * n
-        for m, c in enumerate(self.coeffs):
-            moved[k * m % n] = c
-        return _reduce(n, moved)
 
     def __truediv__(self, other):
         o = self._coerce(other)

@@ -37,8 +37,8 @@ class CarrierAlgebra(ABC):
     not a plain operator.  ``order`` is N; ``tau_sign`` the sign s in
     tau**N = s*1.  ``q_element(k)`` is the scalar q**k, which acts on carrier
     elements through ``u * q_element(k)``; it keeps the grading code generic
-    over how q sits in the carrier's scalar field: the generator of Q(q) for
-    the quantum plane, its square -1 in Q(i) for the quaternion instance.
+    over how q sits in the carrier's scalar field: the generator of Q(q),
+    which is -1 at N = 2 (the quaternion instance).
     ``element`` builds every extension element over the carrier, so a carrier
     can give its elements a subclass of ExtElement; ``lift`` turns an operand
     that is not an extension element into one.

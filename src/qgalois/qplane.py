@@ -1,10 +1,12 @@
-"""The reduced quantum plane at a primitive N-th root of unity.
+"""The reduced quantum plane at a primitive N-th root of unity, and its signed twin.
 
 Generators x, y satisfy x y = q y x and x**N = y**N = 1, so the monomials
 y**k x**l (0 <= k, l < N) form a basis.  The subalgebra generated by x is the
 carrier of a semi-commutative Galois extension with tau = y and twisting
 endomorphism x -> q x; ``PlaneElement`` is that extension, with the y-degree
-as the grading and the extension's twisted product as its product.
+as the grading and the extension's twisted product as its product.  The same
+construction with x**N = tau**N = -1 is the carrier's other sign: at N = 2 it
+is Hamilton's quaternions (tau = i, x = j).
 
 Also provides the faithful N x N matrix representation
 x -> diag(1, q**-1, ..., q**-(N-1)) and y -> the cyclic shift matrix, which
@@ -32,11 +34,11 @@ def _as_scalar(order: int, value) -> CycScalar:
 
 
 class XPoly(Componentwise):
-    """An element of the x-subalgebra: sum_l c_l x**l with x**N = 1."""
+    """An element of the x-subalgebra: sum_l c_l x**l with x**N = sign, 1 or -1."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "coeffs", "sign")
 
-    def __init__(self, order: int, coeffs):
+    def __init__(self, order: int, coeffs, sign: int = 1):
         coeffs = tuple(coeffs)
         if len(coeffs) != order:
             raise ValueError("coefficient vector must have length N")
@@ -46,47 +48,52 @@ class XPoly(Componentwise):
                 break
         self.order = order
         self.coeffs = coeffs
+        self.sign = sign
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
-    def zero(order: int) -> XPoly:
+    def zero(order: int, sign: int = 1) -> XPoly:
         z = CycScalar.zero(order)
-        return XPoly(order, (z,) * order)
+        return XPoly(order, (z,) * order, sign)
 
     @staticmethod
-    def monomial(order: int, power: int, coeff=1) -> XPoly:
+    def monomial(order: int, power: int, coeff=1, sign: int = 1) -> XPoly:
+        """coeff * x**power, with x**N folded to sign."""
         c = [CycScalar.zero(order)] * order
-        c[power % order] = _as_scalar(order, coeff)
-        return XPoly(order, c)
+        coeff = _as_scalar(order, coeff)
+        if sign < 0 and power // order % 2:
+            coeff = -coeff
+        c[power % order] = coeff
+        return XPoly(order, c, sign)
 
     @staticmethod
-    def one(order: int) -> XPoly:
-        return XPoly.monomial(order, 0)
+    def one(order: int, sign: int = 1) -> XPoly:
+        return XPoly.monomial(order, 0, 1, sign)
 
     @staticmethod
-    def x(order: int) -> XPoly:
-        return XPoly.monomial(order, 1)
+    def x(order: int, sign: int = 1) -> XPoly:
+        return XPoly.monomial(order, 1, 1, sign)
 
     @staticmethod
-    def from_scalar(order: int, value) -> XPoly:
-        return XPoly.monomial(order, 0, value)
+    def from_scalar(order: int, value, sign: int = 1) -> XPoly:
+        return XPoly.monomial(order, 0, value, sign)
 
     # -- ring operations -----------------------------------------------------
 
     _parts = property(operator.attrgetter("coeffs"))
 
     def _new(self, parts) -> XPoly:
-        return XPoly(self.order, parts)
+        return XPoly(self.order, parts, self.sign)
 
     def _coerce(self, other) -> "XPoly | None":
-        """A scalar or an XPoly of this order as an XPoly; None for any other operand."""
+        """A scalar or an XPoly of this order and sign as an XPoly; None for any other operand."""
         if isinstance(other, XPoly):
-            if other.order != self.order:
-                raise ValueError("order mismatch")
+            if other.order != self.order or other.sign != self.sign:
+                raise ValueError("order or sign mismatch")
             return other
         if isinstance(other, _SCALARS):
-            return XPoly.from_scalar(self.order, other)
+            return XPoly.from_scalar(self.order, other, self.sign)
         return None
 
     def __mul__(self, other):
@@ -103,18 +110,21 @@ class XPoly(Componentwise):
             for j, b in enumerate(o.coeffs):
                 if b:
                     k = (i + j) % n
-                    out[k] = out[k] + a * b
-        return XPoly(n, out)
+                    if i + j < n or self.sign > 0:
+                        out[k] = out[k] + a * b
+                    else:  # x**(i+j) = -x**k
+                        out[k] = out[k] - a * b
+        return XPoly(n, out, self.sign)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        return power(self, k, XPoly.one(self.order))
+        return power(self, k, XPoly.one(self.order, self.sign))
 
     def scale(self, coeff) -> XPoly:
         """Multiply every coefficient by a scalar; zero coefficients are kept as they are."""
         c = _as_scalar(self.order, coeff)
-        return XPoly(self.order, (c * a if a else a for a in self.coeffs))
+        return XPoly(self.order, (c * a if a else a for a in self.coeffs), self.sign)
 
     # -- the structure maps --------------------------------------------------
 
@@ -126,6 +136,7 @@ class XPoly(Componentwise):
         return XPoly(
             n,
             (CycScalar.q_power(n, k * l) * c if c else c for l, c in enumerate(self.coeffs)),
+            self.sign,
         )
 
     def evaluate_at_q_power(self, j: int) -> CycScalar:
@@ -142,8 +153,17 @@ class XPoly(Componentwise):
 
         Coefficient l of the inverse is W(q**-l) / N, W having the inverted values
         as coefficients.  A zero value means a zero divisor: NotInvertible is raised.
+        At sign -1 (x**N + 1 need not split over Q(q)) the inverse is c / (u c)
+        with c = twist(1) ... twist(N-1): the norm u c is twist-invariant, so a
+        scalar, and it is zero exactly when u is a zero divisor.
         """
         n = self.order
+        if self.sign < 0:
+            c = functools.reduce(operator.mul, map(self.twist, range(2, n)), self.twist(1))
+            norm = (self * c).coeffs[0]
+            if not norm:
+                raise NotInvertible("element is a zero divisor")
+            return c.scale(norm.inverse())
         values = [self.evaluate_at_q_power(j) for j in range(n)]
         if not all(values):
             raise NotInvertible("element vanishes at a root of x**N - 1")
@@ -155,24 +175,30 @@ class XPoly(Componentwise):
         return render_terms((c, (("x", l),)) for l, c in enumerate(self.coeffs))
 
     def __repr__(self):
-        return f"XPoly({self.order}, {self!s})"
+        sign = "" if self.sign > 0 else f", x^{self.order} = -1"
+        return f"XPoly({self.order}, {self!s}{sign})"
 
 
 class XPolyCarrier(CarrierAlgebra):
-    """The x-subalgebra as the carrier of the extension generated by tau = y."""
+    """The x-subalgebra as the carrier of the extension generated by tau = y.
 
-    tau_sign = 1
+    ``tau_sign`` is the sign s of both tau**N = s and x**N = s: 1 gives the
+    reduced quantum plane, -1 at N = 2 the quaternions.
+    """
 
-    def __init__(self, order: int):
+    def __init__(self, order: int, tau_sign: int = 1):
         if order < 2:
             raise ValueError("order must be at least 2")
+        if tau_sign not in (1, -1):
+            raise ValueError("tau_sign must be 1 or -1")
         self.order = order
+        self.tau_sign = tau_sign
 
     def zero(self):
-        return XPoly.zero(self.order)
+        return XPoly.zero(self.order, self.tau_sign)
 
     def one(self):
-        return XPoly.one(self.order)
+        return XPoly.one(self.order, self.tau_sign)
 
     def phi(self, u):
         return u.twist(1)
@@ -186,25 +212,32 @@ class XPolyCarrier(CarrierAlgebra):
     def q_element(self, k: int):
         return CycScalar.q_power(self.order, k)
 
-    def element(self, components) -> PlaneElement:
+    def element(self, components) -> ExtElement:
+        """A ``PlaneElement`` at sign 1, a plain ``ExtElement`` at sign -1."""
+        if self.tau_sign < 0:
+            return ExtElement(self, components)
         return PlaneElement(self.order, components)
 
-    def lift(self, value) -> PlaneElement | None:
-        """A scalar or an ``XPoly`` of this order, embedded as the y**0 component."""
+    def lift(self, value) -> ExtElement | None:
+        """A scalar or an ``XPoly`` of this order and sign, embedded as the tau**0 component."""
         u = self.zero()._coerce(value)
         return None if u is None else ExtElement.embed(self, u)
 
     def x(self) -> XPoly:
-        return XPoly.x(self.order)
+        return XPoly.x(self.order, self.tau_sign)
 
     def __eq__(self, other):
-        return isinstance(other, XPolyCarrier) and other.order == self.order
+        return (
+            isinstance(other, XPolyCarrier)
+            and other.order == self.order
+            and other.tau_sign == self.tau_sign
+        )
 
     def __hash__(self):
-        return hash((XPolyCarrier, self.order))
+        return hash((XPolyCarrier, self.order, self.tau_sign))
 
     def __repr__(self):
-        return f"XPolyCarrier(order={self.order})"
+        return f"XPolyCarrier(order={self.order}, tau_sign={self.tau_sign})"
 
 
 class PlaneElement(ExtElement):
@@ -352,8 +385,11 @@ def represent(w: PlaneElement) -> RepMatrix:
 
     Y**k X**l has the single entry q**(-j l) in column j, row j - k, so the
     image of w = sum_k y**k u_k(x) has entry (i, j) = u_(j-i)(q**-j): the
-    components evaluated at the roots of x**N - 1.
+    components evaluated at the roots of x**N - 1.  Raises ValueError at
+    tau**N = x**N = -1, where this formula does not hold.
     """
+    if w.carrier.tau_sign < 0:
+        raise ValueError("represent needs tau**N = x**N = 1")
     n = w.carrier.order
     rows = (map(w.component, range(-i, n - i)) for i in range(n))  # u_(j-i) in column j
     roots = range(0, -n, -1)  # column j evaluates at q**-j

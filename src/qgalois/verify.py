@@ -100,8 +100,8 @@ def _rand_ext(rng: random.Random, carrier: XPolyCarrier, live: int = 2) -> ExtEl
     return ExtElement(carrier, comps)
 
 
-def _rand_complex(rng: random.Random) -> CycScalar:
-    return CycScalar(4, (_rand_fraction(rng), _rand_fraction(rng)))
+def _rand_complex(rng: random.Random) -> XPoly:
+    return XPoly(2, (_rand_fraction(rng), _rand_fraction(rng)), -1)
 
 
 def _rand_quaternion(rng: random.Random) -> ExtElement:
@@ -507,7 +507,7 @@ def quaternion_suite(rng: random.Random, cases: int) -> list[CheckResult]:
             u = _rand_complex(rng)
             x = _rand_complex(rng)
             if not x.coeffs[1]:
-                x = CycScalar(4, (x.coeffs[0], Fraction(1)))
+                x = XPoly(2, (x.coeffs[0], 1), -1)
             yield quat.second_right_derivative(u, x)
 
     out.append(_all_zero("quaternion.second_derivative_vanishes", second_deriv()))
@@ -516,14 +516,14 @@ def quaternion_suite(rng: random.Random, cases: int) -> list[CheckResult]:
         for _ in range(cases):
             u, x = _rand_complex(rng), _rand_complex(rng)
             if not x.coeffs[1]:
-                x = CycScalar(4, (x.coeffs[0], Fraction(2)))
+                x = XPoly(2, (x.coeffs[0], 2), -1)
             c, d = quat.linear_decomposition(u, x)
             rebuilt = x * d + c
             yield u - rebuilt
 
     out.append(_all_zero("quaternion.affine_decomposition", witness()))
 
-    fam = build_families(quat.CARRIER, CycScalar.q(4))
+    fam = build_families(quat.CARRIER, quat.CARRIER.x())
     for res in identity_check(fam):
         out.append(CheckResult(f"quaternion.{res.name}", res.passed, res.residual))
     return out

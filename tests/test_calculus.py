@@ -428,7 +428,7 @@ def test_families_of_random_coordinates(order):
 
 
 def test_families_of_quaternion_coordinates():
-    for x in (CycScalar.from_poly(4, (0, 1)), CycScalar.from_poly(4, (Fraction(3, 2), -2))):
+    for x in (CARRIER.x(), XPoly(2, (Fraction(3, 2), -2), -1)):
         _check_families(build_families(CARRIER, x))
 
 
@@ -443,7 +443,7 @@ def test_non_invertible_coordinates_are_rejected():
         with pytest.raises(NonInvertibleCoordinate):
             build_families(XPolyCarrier(order), XPoly.one(order))
     with pytest.raises(NonInvertibleCoordinate):
-        build_families(CARRIER, CycScalar.from_poly(4, (3,)))
+        build_families(CARRIER, XPoly(2, (3, 0), -1))
 
 
 @pytest.mark.parametrize("order", range(2, 9))

@@ -439,3 +439,20 @@ def test_fuzzed_expressions_exit_0_or_2(tokens, command, order, json_flag, appro
     argv += ["--", "".join(tokens)]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(argv) in (0, 2)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes file descriptor 1 in the child")
+@pytest.mark.parametrize(
+    "args", [["tables", "--order", "2"], ["verify", "--order", "2", "--cases", "2"]]
+)
+def test_a_closed_stdout_is_a_user_error(args):
+    # started with fd 1 closed, the child has no sys.stdout: nothing may run
+    proc = subprocess.run(
+        [sys.executable, "-m", "qgalois", *args],
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=60,
+        preexec_fn=lambda: os.close(1),
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: cannot write the output: standard output is closed"]

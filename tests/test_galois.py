@@ -2,8 +2,8 @@
 
 The x-subalgebra of the reduced quantum plane serves as the main carrier here
 because its arithmetic is exact and every identity below has a closed form on
-it.  The sign case tau^N = -1 is exercised through the conjugation carrier in
-test_quaternion.py.
+it.  The sign case tau^N = x^N = -1 is exercised through the quaternions in
+test_quaternion.py and the signed carrier in test_qplane.py.
 """
 
 import random
@@ -298,11 +298,18 @@ def test_constant_coordinates_are_rejected():
 
 @pytest.mark.parametrize("other", [1, Fraction(1, 2), CycScalar.q(4), "j"])
 def test_extension_operators_reject_foreign_operands(other):
+    """A rational lifts into the quaternions; a scalar of another order or a string does not."""
     for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
-        with pytest.raises(TypeError):
-            op(QUAT_I, other)
-        with pytest.raises(TypeError):
-            op(other, QUAT_I)
+        if isinstance(other, (int, Fraction)):
+            lifted = from_quaternion(other, 0, 0, 0)
+            assert op(QUAT_I, other) == op(QUAT_I, lifted)
+            assert op(other, QUAT_I) == op(lifted, QUAT_I)
+        else:
+            error = ValueError if isinstance(other, CycScalar) else TypeError
+            with pytest.raises(error):
+                op(QUAT_I, other)
+            with pytest.raises(error):
+                op(other, QUAT_I)
 
 
 def test_plane_still_lifts_scalars_and_xpolys():
@@ -431,8 +438,11 @@ def test_plain_extension_rejects_an_xpoly_of_another_order():
             op(other, plain)
 
 
-def test_only_the_plane_carrier_lifts():
-    assert CARRIER.lift(1) is None
+def test_the_carrier_lifts_rationals_at_both_signs():
+    # at sign -1 the lift is a plain extension element, not a PlaneElement
+    lifted = CARRIER.lift(1)
+    assert lifted == QUAT_ONE and type(lifted) is ExtElement
+    assert isinstance(XPolyCarrier(3).lift(1), PlaneElement)
     assert XPolyCarrier(3).lift("x") is None
 
 
@@ -481,7 +491,7 @@ COMPONENTWISE = {
         from_quaternion(1, 2, 0, -3),
         from_quaternion(0, Fraction(1, 2), 4, 1),
         PlaneElement.y(2),
-        False,
+        True,
     ),
 }
 

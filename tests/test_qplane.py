@@ -13,9 +13,15 @@ from qgalois import (
     RepMatrix,
     XPoly,
     XPolyCarrier,
+    build_families,
+    differential,
     generator_matrices,
+    identity_check,
+    q_commutator,
     represent,
+    tau,
 )
+from qgalois.quaternion import QUAT_I
 from qgalois.qplane import basis_matrices, scalar_rank
 
 
@@ -527,3 +533,70 @@ X3, Y3 = PlaneElement.x(3), PlaneElement.y(3)
 )
 def test_term_renderer_branches(value, text):
     assert str(value) == text
+
+
+# -- the signed carrier: x**N = tau**N = -1 --------------------------------------
+
+
+def rand_signed_xpoly(rng, order, terms=2):
+    acc = XPoly.zero(order, -1)
+    for _ in range(terms):
+        coeff = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        acc = acc + XPoly.monomial(order, rng.randrange(order), coeff, -1)
+    return acc
+
+
+@pytest.mark.parametrize("order", range(3, 9))
+def test_signed_carrier_identities(order):
+    """The construction at sign -1 past N = 2, where the norm takes several conjugates."""
+    c = XPolyCarrier(order, -1)
+    rng = random.Random(300 + order)
+    one, t, x = ExtElement.one(c), tau(c), ExtElement.embed(c, c.x())
+    assert c.x() ** order == -c.one() and x ** order == -one and t ** order == -one
+    assert x * t == (t * x).scale_by_q(1)
+
+    def sample():
+        return ExtElement(c, [rand_signed_xpoly(rng, order) for _ in range(order)])
+
+    for _ in range(2):
+        a, b, w = sample(), sample(), sample()
+        assert (a * b) * w == a * (b * w)
+        assert differential(a) == q_commutator(t, a)
+        dn = a
+        for _ in range(order):
+            dn = differential(dn)
+        assert dn.is_zero()
+        k = rng.randrange(order)
+        u = ExtElement.from_component(c, k, rand_signed_xpoly(rng, order))
+        assert differential(u * b) == differential(u) * b + (u * differential(b)).scale_by_q(k)
+    assert all(identity_check(build_families(c, c.x())))
+
+    units = 0
+    for _ in range(6):
+        r = rand_signed_xpoly(rng, order, 3)
+        try:
+            inv = r.inverse()
+        except NotInvertible:
+            continue
+        units += 1
+        assert r * inv == c.one() and inv.sign == -1
+    assert units
+    if order % 2:
+        with pytest.raises(NotInvertible):  # x = -1 is a root of x**N + 1
+            (c.x() + 1).inverse()
+
+
+def test_signed_carrier_boundaries():
+    with pytest.raises(ValueError):
+        represent(QUAT_I)  # its formula assumes tau**N = x**N = 1
+    with pytest.raises(ValueError):
+        XPolyCarrier(3, 2)
+    assert XPolyCarrier(2, -1) != XPolyCarrier(2) and XPolyCarrier(2, -1) == XPolyCarrier(2, -1)
+    signed, plain = XPoly(2, (1, 1), -1), XPoly(2, (1, 1))
+    assert signed != plain and plain != signed
+    assert "x^2 = -1" in repr(signed) and "-1" not in repr(plain)
+    for op in (lambda u, v: u + v, lambda u, v: u - v, lambda u, v: u * v):
+        with pytest.raises(ValueError):
+            op(signed, plain)
+        with pytest.raises(ValueError):
+            op(plain, signed)

@@ -8,7 +8,6 @@ import pytest
 
 from qgalois import (
     Coordinate,
-    CycScalar,
     NonInvertibleCoordinate,
     ExtElement,
     KForm,
@@ -20,6 +19,7 @@ from qgalois import (
     right_derivative,
     second_right_derivative,
     to_quaternion,
+    XPoly,
 )
 from qgalois.quaternion import CARRIER, QUAT_I, QUAT_J, QUAT_K, QUAT_ONE
 
@@ -39,6 +39,11 @@ def quat(a0, a1, a2, a3):
     return from_quaternion(a0, a1, a2, a3)
 
 
+def cx(a, b=0):
+    """a + b j in the carrier Q(j), j**2 = -1."""
+    return XPoly(2, (a, b), -1)
+
+
 def rand_quat(rng, span=9):
     return quat(*(Fraction(rng.randint(-span, span)) for _ in range(4)))
 
@@ -54,8 +59,8 @@ def test_multiplication_table_matches_hamilton():
 def test_component_split():
     # a0 + a1 i + a2 j + a3 k = (a0 + a2 j) + i (a1 + a3 j)
     xi = quat(2, 3, 7, 5)
-    assert xi.component(0) == CycScalar.from_poly(4, (2, 7))
-    assert xi.component(1) == CycScalar.from_poly(4, (3, 5))
+    assert xi.component(0) == cx(2, 7)
+    assert xi.component(1) == cx(3, 5)
     assert to_quaternion(xi) == (2, 3, 7, 5)
 
 
@@ -94,58 +99,58 @@ def test_differential_squares_to_zero_randomized():
 def test_first_derivative_is_a_rational_constant():
     rng = random.Random(71)
     for _ in range(30):
-        u = CycScalar.from_poly(4, (Fraction(rng.randint(-9, 9)), Fraction(rng.randint(-9, 9))))
-        x = CycScalar.from_poly(4, (Fraction(rng.randint(-9, 9)), Fraction(rng.randint(1, 9))))
+        u = cx(Fraction(rng.randint(-9, 9)), Fraction(rng.randint(-9, 9)))
+        x = cx(Fraction(rng.randint(-9, 9)), Fraction(rng.randint(1, 9)))
         got = right_derivative(u, Coordinate(CARRIER, x))
-        assert got == CycScalar.from_poly(4, (u.coeffs[1] / x.coeffs[1],))
+        assert got == cx(u.coeffs[1] / x.coeffs[1])
 
 
 def test_second_derivative_vanishes():
     rng = random.Random(73)
-    j = CycScalar.from_poly(4, (0, 1))
+    j = cx(0, 1)
     for _ in range(30):
-        u = CycScalar.from_poly(4, (Fraction(rng.randint(-9, 9)), Fraction(rng.randint(-9, 9))))
-        x = CycScalar.from_poly(4, (Fraction(rng.randint(-9, 9)), Fraction(rng.randint(1, 9))))
+        u = cx(Fraction(rng.randint(-9, 9)), Fraction(rng.randint(-9, 9)))
+        x = cx(Fraction(rng.randint(-9, 9)), Fraction(rng.randint(1, 9)))
         assert second_right_derivative(u, x).is_zero()
     assert second_right_derivative(j, j).is_zero()
 
 
 def test_real_coordinates_are_rejected():
-    u = CycScalar.from_poly(4, (1, 2))
+    u = cx(1, 2)
     with pytest.raises(NonInvertibleCoordinate):
-        second_right_derivative(u, CycScalar.from_poly(4, (1, 0)))
+        second_right_derivative(u, cx(1, 0))
     with pytest.raises(NonInvertibleCoordinate):
-        linear_decomposition(u, CycScalar.from_poly(4, (5,)))
+        linear_decomposition(u, cx(5))
 
 
 def test_linear_decomposition_is_exact():
     """Every carrier element is affine in any coordinate with a j part."""
     rng = random.Random(79)
     for _ in range(40):
-        u = CycScalar.from_poly(4, (Fraction(rng.randint(-9, 9)), Fraction(rng.randint(-9, 9))))
-        x = CycScalar.from_poly(4, (Fraction(rng.randint(-9, 9)), Fraction(rng.randint(1, 9))))
+        u = cx(Fraction(rng.randint(-9, 9)), Fraction(rng.randint(-9, 9)))
+        x = cx(Fraction(rng.randint(-9, 9)), Fraction(rng.randint(1, 9)))
         c, d = linear_decomposition(u, x)
-        rebuilt = CycScalar.from_poly(4, (c,)) + x * d
+        rebuilt = cx(c) + x * d
         assert rebuilt == u
-        assert d == u.coeffs[1] / x.coeffs[1]
+        assert d == (u.coeffs[1] / x.coeffs[1]).as_rational()
 
 
 def test_families_at_order_two():
     # P_1 = Delta(j) = 2j, P_2 = 0, Q_2 = phi(2j) 2j = 4; tau^2 = -1 folds later
-    j = CycScalar.from_poly(4, (0, 1))
+    j = cx(0, 1)
     fam = build_families(CARRIER, j)
-    assert fam.dkx[0] == CycScalar.from_poly(4, (0, 2))
+    assert fam.dkx[0] == cx(0, 2)
     assert fam.dkx[1].is_zero()
-    assert fam.dx_pow[1] == CycScalar.from_poly(4, (4,))
+    assert fam.dx_pow[1] == cx(4)
     twisted_sum = fam.dkx[0] + CARRIER.phi(fam.dkx[0])
     assert twisted_sum.is_zero()
 
 
 def test_dx_basis_folds_tau_squared_to_minus_one():
     # x = j: dx = tau Delta(j) = i (2j) = 2k, and (2k)^2 = -4 by k^2 = -1
-    fam = build_families(CARRIER, CycScalar.from_poly(4, (0, 1)))
+    fam = build_families(CARRIER, cx(0, 1))
     dx = KForm(CARRIER, 1, fam.coordinate.delta_x)
-    dx_squared = from_dx_basis(fam, 2, CycScalar.from_poly(4, (1,)))
+    dx_squared = from_dx_basis(fam, 2, cx(1))
     assert dx_squared == dx * dx
     assert dx_squared.degree == 0
     assert to_quaternion(ExtElement.from_forms(CARRIER, [dx_squared])) == (-4, 0, 0, 0)
@@ -155,3 +160,9 @@ def test_quaternion_powers():
     assert QUAT_I ** 2 == -QUAT_ONE
     assert QUAT_J ** 4 == QUAT_ONE
     assert QUAT_K ** 0 == QUAT_ONE
+
+
+def test_a_rational_lifts_into_the_quaternions():
+    assert QUAT_I + 1 == 1 + QUAT_I == quat(1, 1, 0, 0)
+    assert QUAT_J - Fraction(1, 2) == quat(Fraction(-1, 2), 0, 1, 0)
+    assert 2 * QUAT_K == QUAT_K * 2 == quat(0, 0, 0, 2)

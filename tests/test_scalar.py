@@ -1,6 +1,5 @@
 """Cyclotomic scalars: canonical reduction, field structure, q-combinatorics."""
 
-import math
 import random
 from fractions import Fraction
 
@@ -163,50 +162,6 @@ def rand_scalar(rng, order):
     return CycScalar.from_poly(
         order, [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(deg)]
     )
-
-
-def units(order):
-    return [k for k in range(1, order) if math.gcd(k, order) == 1]
-
-
-def test_galois_matches_sympy():
-    # sigma_k(a) is a(t**k) reduced mod Phi_N, computed independently by sympy
-    sympy = pytest.importorskip("sympy")
-    t = sympy.Symbol("t")
-    rng = random.Random(83)
-    for order in range(2, 13):
-        a = rand_scalar(rng, order)
-        poly = sum(sympy.Rational(c.numerator, c.denominator) * t**m for m, c in enumerate(a.coeffs))
-        for k in units(order):
-            rem = sympy.rem(poly.subs(t, t**k), sympy.cyclotomic_poly(order, t), t)
-            coeffs = reversed(sympy.Poly(rem, t).all_coeffs())
-            expected = CycScalar.from_poly(order, [Fraction(int(c.p), int(c.q)) for c in coeffs])
-            assert a.galois(k) == expected, (order, k)
-
-
-def test_galois_is_a_field_automorphism():
-    rng = random.Random(89)
-    for order in (3, 4, 5, 8, 12):
-        for _ in range(5):
-            a, b = rand_scalar(rng, order), rand_scalar(rng, order)
-            assert a.galois(1) == a
-            for k in units(order):
-                assert (a + b).galois(k) == a.galois(k) + b.galois(k)
-                assert (a * b).galois(k) == a.galois(k) * b.galois(k)
-                for l in units(order):
-                    assert a.galois(k).galois(l) == a.galois(k * l)
-
-
-def test_galois_rejects_exponents_sharing_a_factor_with_the_order():
-    for order, k in ((4, 2), (6, 3), (6, 0), (9, 6), (5, 10)):
-        with pytest.raises(ValueError):
-            CycScalar.q(order).galois(k)
-
-
-def test_galois_minus_one_is_complex_conjugation_at_order_4():
-    z = CycScalar.from_poly(4, (Fraction(3, 2), Fraction(-5, 7)))
-    assert z.galois(-1) == CycScalar.from_poly(4, (Fraction(3, 2), Fraction(5, 7)))
-    assert z.galois(-1) == z.galois(3)
 
 
 @pytest.mark.parametrize("order", range(2, 13))

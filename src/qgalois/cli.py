@@ -9,10 +9,13 @@ Expression grammar (whitespace is free):
             | 'd' '(' expr ')' | 'partial' '(' expr ')'
             | 'D' uint '(' expr ')' | '(' expr ')' | '-' atom
 
-Rationals are written as ``7`` or ``7/3``; parentheses, unary minus and calls
-nest at most 100 deep.  Exit codes: 0 success, 1 a verify run found a failing
-identity, 2 usage, parse, or evaluation errors, and output that cannot be
-written (a full disk, a closed pipe).
+``parse`` reads the whole source and returns, for each node, a function of
+the order that evaluates it; ``evaluate(expr, order)`` calls it.  Nothing is
+evaluated before the source has parsed, so a syntax error wins over an
+evaluation error.  Rationals are written as ``7`` or ``7/3``; parentheses,
+unary minus and calls nest at most 100 deep.  Exit codes: 0 success, 1 a
+verify run found a failing identity, 2 usage, parse, or evaluation errors, and
+output that cannot be written (a full disk, a closed pipe).
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import json
 import operator
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .calculus import (
@@ -59,76 +61,17 @@ class EvalError(Exception):
     pass
 
 
-# -- AST ------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Number:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class Sym:
-    name: str
-
-
-@dataclass(frozen=True)
-class Neg:
-    arg: object
-
-
-@dataclass(frozen=True)
-class Add:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: int
-
-
-@dataclass(frozen=True)
-class Call:
-    fn: str  # 'd' or 'partial'
-    arg: object
-
-
-@dataclass(frozen=True)
-class CovD:
-    k: int
-    arg: object
-
-
 # -- tokenizer and parser ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    offset: int
-
 
 _OPS = set("+-*^()")
 # ASCII only: str.isdigit also accepts characters such as '²' that int() rejects.
 _DIGITS = set("0123456789")
+_INFIX = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+Token = tuple[str, str, int]  # (kind, text, offset)
 
 
 def tokenize(src: str) -> list[Token]:
+    """The tokens of src, ending in an 'end' token at len(src)."""
     out = []
     i = 0
     while i < len(src):
@@ -137,7 +80,7 @@ def tokenize(src: str) -> list[Token]:
             i += 1
             continue
         if ch in _OPS:
-            out.append(Token(ch, ch, i))
+            out.append((ch, ch, i))
             i += 1
             continue
         if ch in _DIGITS:
@@ -148,25 +91,36 @@ def tokenize(src: str) -> list[Token]:
                 j += 1
                 while j < len(src) and src[j] in _DIGITS:
                     j += 1
-            out.append(Token("num", src[i:j], i))
+            out.append(("num", src[i:j], i))
             i = j
             continue
         if ch.isalpha():
             j = i
             while j < len(src) and src[j].isalpha():
                 j += 1
-            out.append(Token("name", src[i:j], i))
+            out.append(("name", src[i:j], i))
             i = j
             continue
         raise ParseError(i, {"a token"}, repr(ch))
-    out.append(Token("end", "", len(src)))
+    out.append(("end", "", len(src)))
     return out
 
 
 _ATOM_EXPECTED = {"a number", "'q'", "'x'", "'y'", "'d'", "'partial'", "'D'", "'('", "'-'"}
+_SYMBOLS = {
+    "q": lambda order: PlaneElement.from_scalar(order, CycScalar.q(order)),
+    "x": PlaneElement.x,
+    "y": PlaneElement.y,
+}
+_FUNCTIONS = {
+    "d": differential,
+    "partial": lambda w: _on_function(partial_derivative, w),
+}
 
 
 class _Parser:
+    """Recursive descent; each grammar rule returns a function of the order that evaluates it."""
+
     def __init__(self, src: str):
         self.tokens = tokenize(src)
         self.pos = 0
@@ -182,61 +136,75 @@ class _Parser:
 
     def expect(self, kind: str, what: str) -> Token:
         tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(tok.offset, {what}, tok.text or "end of input")
+        if tok[0] != kind:
+            raise ParseError(tok[2], {what}, tok[1] or "end of input")
         return self.advance()
 
     def parse(self):
         node = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(tok.offset, {"'+'", "'-'", "'*'", "end of input"}, tok.text)
+        kind, text, offset = self.peek()
+        if kind != "end":
+            raise ParseError(offset, {"'+'", "'-'", "'*'", "end of input"}, text)
         return node
+
+    def chain(self, operand, kinds: tuple[str, ...]):
+        """operand (op operand)* for op in kinds, folded left in one loop."""
+        first = operand()
+        steps = []
+        while self.peek()[0] in kinds:
+            steps.append((_INFIX[self.advance()[0]], operand()))
+        if not steps:
+            return first
+
+        def run(order: int) -> PlaneElement:
+            acc = first(order)
+            for op, right in steps:
+                acc = op(acc, right(order))
+            return acc
+
+        return run
 
     def expr(self):
-        node = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance()
-            right = self.term()
-            node = Add(node, right) if op.kind == "+" else Sub(node, right)
-        return node
+        return self.chain(self.term, ("+", "-"))
 
     def term(self):
-        node = self.factor()
-        while self.peek().kind == "*":
-            self.advance()
-            node = Mul(node, self.factor())
-        return node
+        return self.chain(self.factor, ("*",))
 
     def factor(self):
-        node = self.atom()
-        if self.peek().kind == "^":
-            self.advance()
-            node = Pow(node, self.integer("an integer exponent"))
-        return node
+        base = self.atom()
+        if self.peek()[0] != "^":
+            return base
+        self.advance()
+        k = self.integer("an integer exponent")
+
+        def run_power(order: int) -> PlaneElement:
+            return power(_SizeBound(base(order)), k, _SizeBound(PlaneElement.one(order))).element
+
+        return run_power
 
     def number(self, tok: Token) -> Fraction:
         """The value of a num token; a part past the int-string digit limit is a ParseError."""
+        _, text, offset = tok
         try:
-            parts = [int(p) for p in tok.text.split("/")]
+            parts = [int(p) for p in text.split("/")]
         except ValueError:
             limit = sys.get_int_max_str_digits()
-            found = f"{max(len(p) for p in tok.text.split('/'))} digits"
-            raise ParseError(tok.offset, {f"a number of at most {limit} digits"}, found) from None
+            found = f"{max(len(p) for p in text.split('/'))} digits"
+            raise ParseError(offset, {f"a number of at most {limit} digits"}, found) from None
         if parts[1:] == [0]:
-            raise ParseError(tok.offset, {"a nonzero denominator"}, tok.text)
+            raise ParseError(offset, {"a nonzero denominator"}, text)
         return Fraction(*parts)
 
     def integer(self, what: str) -> int:
         tok = self.expect("num", what)
-        if "/" in tok.text:
-            raise ParseError(tok.offset, {what}, tok.text)
+        if "/" in tok[1]:
+            raise ParseError(tok[2], {what}, tok[1])
         return int(self.number(tok))
 
     def nested(self, tok: Token, parse):
         """Run parse() one nesting level below tok, at most MAX_NESTING deep."""
         if self.depth == MAX_NESTING:
-            raise ParseError(tok.offset, {f"at most {MAX_NESTING} levels of nesting"}, tok.text)
+            raise ParseError(tok[2], {f"at most {MAX_NESTING} levels of nesting"}, tok[1])
         self.depth += 1
         node = parse()
         self.depth -= 1
@@ -251,78 +219,56 @@ class _Parser:
 
     def atom(self):
         tok = self.peek()
-        if tok.kind == "num":
+        kind, text, offset = tok
+        if kind == "num":
             self.advance()
-            return Number(self.number(tok))
-        if tok.kind == "-":
+            value = self.number(tok)
+            return lambda order: PlaneElement.from_scalar(order, value)
+        if kind == "-":
             self.advance()
-            return Neg(self.nested(tok, self.atom))
-        if tok.kind == "(":
+            arg = self.nested(tok, self.atom)
+            return lambda order: -arg(order)
+        if kind == "(":
             return self.argument(tok)
-        if tok.kind == "name":
+        if kind == "name" and text in _SYMBOLS:
             self.advance()
-            if tok.text in ("q", "x", "y"):
-                return Sym(tok.text)
-            if tok.text in ("d", "partial"):
-                return Call(tok.text, self.argument(tok))
-            if tok.text == "D":
-                k = self.integer("an integer index")
-                return CovD(k, self.argument(tok))
-            raise ParseError(tok.offset, _ATOM_EXPECTED, tok.text)
-        raise ParseError(tok.offset, _ATOM_EXPECTED, tok.text or "end of input")
+            return _SYMBOLS[text]
+        if kind == "name" and text in _FUNCTIONS:
+            self.advance()
+            fn, arg = _FUNCTIONS[text], self.argument(tok)
+            return lambda order: fn(arg(order))
+        if kind == "name" and text == "D":
+            self.advance()
+            k = self.integer("an integer index")
+            arg = self.argument(tok)
+
+            def run_covariant(order: int) -> PlaneElement:
+                # The index is checked at evaluation: its range depends on the order.
+                if not 1 <= k <= order - 1:
+                    raise EvalError(f"D index must lie in 1..{order - 1}")
+                w = arg(order)
+                return _on_function(covariant_operator(q_plane_families(order), k), w)
+
+            return run_covariant
+        raise ParseError(offset, _ATOM_EXPECTED, text or "end of input")
 
 
 def parse(src: str):
-    """Parse a source string into an AST; raises ParseError with byte offset."""
+    """Parse a whole source string into a function of the order that evaluates it.
+
+    Raises ParseError with the byte offset of the first syntax error.
+    """
     return _Parser(src).parse()
-
-
-# -- rendering --------------------------------------------------------------------
-
-_PREC_ADD, _PREC_MUL, _PREC_POW, _PREC_ATOM = 1, 2, 4, 5
-_INFIX = {Add: (" + ", _PREC_ADD), Sub: (" - ", _PREC_ADD), Mul: ("*", _PREC_MUL)}
-
-
-def render(node, prec: int = 0) -> str:
-    """Minimal-parenthesis source form; parse(render(t)) == t."""
-    if type(node) in _INFIX:
-        # A left-nested chain of one precedence renders in a loop, as evaluate folds it.
-        mine = _INFIX[type(node)][1]
-        rights = []
-        while type(node) in _INFIX and _INFIX[type(node)][1] == mine:
-            op = _INFIX[type(node)][0]
-            rights.append(op + render(node.right, mine + 1))
-            node = node.left
-        body = render(node, mine) + "".join(reversed(rights))
-    elif isinstance(node, Number):
-        body, mine = str(node.value), _PREC_ATOM
-    elif isinstance(node, Sym):
-        body, mine = node.name, _PREC_ATOM
-    elif isinstance(node, Neg):
-        body, mine = "-" + render(node.arg, _PREC_ATOM), _PREC_ATOM
-    elif isinstance(node, Pow):
-        body, mine = render(node.base, _PREC_ATOM) + f"^{node.exponent}", _PREC_POW
-    elif isinstance(node, Call):
-        body, mine = f"{node.fn}({render(node.arg)})", _PREC_ATOM
-    elif isinstance(node, CovD):
-        body, mine = f"D{node.k}({render(node.arg)})", _PREC_ATOM
-    else:
-        raise TypeError(f"not an AST node: {node!r}")
-    if mine < prec:
-        return f"({body})"
-    return body
 
 
 # -- evaluation --------------------------------------------------------------------
 
 
-def _as_function(w: PlaneElement) -> XPoly:
+def _on_function(op, w: PlaneElement) -> PlaneElement:
+    """op applied to w as an element of the x-subalgebra, embedded back in the plane."""
     if w.degree() != 0:
         raise EvalError("operator expects an element of the x-subalgebra")
-    return w.component(0)
-
-
-_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
+    return ExtElement.embed(w.carrier, op(w.component(0)))
 
 
 def _too_many_digits() -> EvalError:
@@ -354,43 +300,9 @@ class _SizeBound:
         return _SizeBound(self.element * other.element)
 
 
-def evaluate(node, order: int) -> PlaneElement:
-    """Evaluate an AST in the reduced quantum plane of the given order."""
-    # Left-nested + - * chains fold in a loop: long flat input needs no deep recursion.
-    if type(node) in _BINARY:
-        steps = []
-        while type(node) in _BINARY:
-            steps.append((_BINARY[type(node)], node.right))
-            node = node.left
-        acc = evaluate(node, order)
-        for op, right in reversed(steps):
-            acc = op(acc, evaluate(right, order))
-        return acc
-    if isinstance(node, Number):
-        return PlaneElement.from_scalar(order, Fraction(node.value))
-    if isinstance(node, Sym):
-        if node.name == "q":
-            return PlaneElement.from_scalar(order, CycScalar.q(order))
-        if node.name == "x":
-            return PlaneElement.x(order)
-        return PlaneElement.y(order)
-    if isinstance(node, Neg):
-        return -evaluate(node.arg, order)
-    if isinstance(node, Pow):
-        base = _SizeBound(evaluate(node.base, order))
-        return power(base, node.exponent, _SizeBound(PlaneElement.one(order))).element
-    if isinstance(node, Call):
-        inner = evaluate(node.arg, order)
-        if node.fn == "d":
-            return differential(inner)
-        return ExtElement.embed(inner.carrier, partial_derivative(_as_function(inner)))
-    if isinstance(node, CovD):
-        if not 1 <= node.k <= order - 1:
-            raise EvalError(f"D index must lie in 1..{order - 1}")
-        inner = evaluate(node.arg, order)
-        op = covariant_operator(q_plane_families(order), node.k)
-        return ExtElement.embed(inner.carrier, op(_as_function(inner)))
-    raise TypeError(f"not an AST node: {node!r}")
+def evaluate(expr, order: int) -> PlaneElement:
+    """Evaluate a parsed expression in the reduced quantum plane of the given order."""
+    return expr(order)
 
 
 # -- JSON encoding -------------------------------------------------------------------
@@ -509,19 +421,22 @@ def cmd_matrix(args) -> int:
     w = evaluate(parse(args.expr), args.order)
     m = represent(w)
 
+    def approx() -> list[list[complex]]:
+        return [list(map(CycScalar.embed, row)) for row in m.entries]
+
     def output() -> str:
         if args.json:
             payload = matrix_json(m)
             if args.approx:
                 payload["approx"] = [
-                    [[e.embed().real, e.embed().imag] for e in row] for row in m.entries
+                    [[z.real, z.imag] for z in row] for row in approx()
                 ]
             return json.dumps(payload)
         lines = [str(m)]
         if args.approx:
             lines.append("approx:")
-            for row in m.entries:
-                cells = ", ".join(f"{e.embed().real:+.6f}{e.embed().imag:+.6f}j" for e in row)
+            for row in approx():
+                cells = ", ".join(f"{z.real:+.6f}{z.imag:+.6f}j" for z in row)
                 lines.append(f"[{cells}]")
         return "\n".join(lines)
 

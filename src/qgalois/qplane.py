@@ -46,6 +46,8 @@ class XPoly(Componentwise):
             if type(c) is not CycScalar or c.order != order:
                 coeffs = tuple(_as_scalar(order, c) for c in coeffs)
                 break
+        if sign != 1 and sign != -1:
+            raise ValueError("sign must be 1 or -1")
         self.order = order
         self.coeffs = coeffs
         self.sign = sign
@@ -140,7 +142,12 @@ class XPoly(Componentwise):
         )
 
     def evaluate_at_q_power(self, j: int) -> CycScalar:
-        """Value at x = q**j; x**N = 1 splits over Q(q) with these roots."""
+        """Value at x = q**j; x**N = 1 splits over Q(q) with these roots.
+
+        Raises ValueError at sign -1: q**j is no root of x**N + 1.
+        """
+        if self.sign < 0:
+            raise ValueError("evaluation at q**j needs x**N = 1")
         n = self.order
         acc = CycScalar.zero(n)
         for l, c in enumerate(self.coeffs):
@@ -243,17 +250,19 @@ class XPolyCarrier(CarrierAlgebra):
 class PlaneElement(ExtElement):
     """sum_k y**k u_k(x): the extension over the x-subalgebra with tau = y.
 
-    Component k is the coefficient of y**k; it may be given as an ``XPoly`` or
-    as the N scalar coefficients of x**0 .. x**(N-1).  The arithmetic is the
-    extension's, which lifts scalar and ``XPoly`` operands through the carrier.
+    Component k is the coefficient of y**k; it may be given as an ``XPoly`` of
+    this order with x**N = 1 or as the N scalar coefficients of x**0 ..
+    x**(N-1).  The arithmetic is the extension's, which lifts scalar and
+    ``XPoly`` operands through the carrier.
     """
 
     __slots__ = ()
 
     def __init__(self, order: int, rows):
-        super().__init__(
-            XPolyCarrier(order), (r if isinstance(r, XPoly) else XPoly(order, r) for r in rows)
-        )
+        rows = tuple(r if isinstance(r, XPoly) else XPoly(order, r) for r in rows)
+        if any(r.order != order or r.sign != 1 for r in rows):
+            raise ValueError("rows must be x-polynomials of this order with x**N = 1")
+        super().__init__(XPolyCarrier(order), rows)
 
     @property
     def order(self) -> int:

@@ -14,40 +14,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgalois import CycScalar, PlaneElement
-from qgalois.cli import (
-    Add,
-    Call,
-    CovD,
-    EvalError,
-    Mul,
-    Neg,
-    Number,
-    ParseError,
-    Pow,
-    Sub,
-    Sym,
-    element_json,
-    evaluate,
-    main,
-    parse,
-    render,
-)
+from qgalois import CycScalar, ExtElement, PlaneElement, differential
+from qgalois.calculus import covariant_operator, partial_derivative, q_plane_families
+from qgalois.cli import EvalError, ParseError, element_json, evaluate, main, parse
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
 
 def test_parse_shapes():
-    assert parse("x*y - q*y*x") == Sub(
-        Mul(Sym("x"), Sym("y")), Mul(Mul(Sym("q"), Sym("y")), Sym("x"))
-    )
-    assert parse("d(x^2)") == Call("d", Pow(Sym("x"), 2))
-    assert parse("partial( x )") == Call("partial", Sym("x"))
-    assert parse("D2(x)") == CovD(2, Sym("x"))
-    assert parse("3/4*x") == Mul(Number(Fraction(3, 4)), Sym("x"))
+    n = 3
+    x, y = PlaneElement.x(n), PlaneElement.y(n)
+    q = PlaneElement.from_scalar(n, CycScalar.q(n))
+
+    def value(src):
+        return evaluate(parse(src), n)
+
+    # '*' binds tighter than '+', and parentheses override it
+    assert value("x + y*q") == x + y * q
+    assert value("(x + y)*q") == (x + y) * q
+    assert value("x + y*q") != value("(x + y)*q")
     # '-' binds at the atom, so the exponent applies to the negated atom
-    assert parse("-x^2") == Pow(Neg(Sym("x")), 2)
-    assert parse("x + y + q") == Add(Add(Sym("x"), Sym("y")), Sym("q"))
+    assert value("-x^2") == (-x) ** 2
+    assert value("-x^2") != -(x**2)
+    # chains fold to the left
+    assert value("x - y - q") == (x - y) - q
+    assert value("x - y - q") != x - (y - q)
+    assert value("x*y - q*y*x") == x * y - q * y * x
+    assert value("3/4*x") == x.scale(CycScalar.from_rational(n, Fraction(3, 4)))
+    assert value("d(x^2)") == differential(x**2)
+    assert value("partial( x )") == PlaneElement.one(n)
+    assert value("D2(x)") == ExtElement.embed(
+        x.carrier, covariant_operator(q_plane_families(n), 2)(x.component(0))
+    )
 
 
 def test_parse_error_offsets():
@@ -70,40 +68,71 @@ def test_parse_error_offsets():
         parse("x^1/2")
 
 
-def test_render_fixed_points():
-    for src in ("x*y - q*y*x", "d(x^2)", "-x^2", "3/4*x", "D2(x)", "x*(y + 1)"):
-        assert render(parse(src)) == src
+def test_parsing_does_not_evaluate():
+    expr = parse("D9(x)")  # the index is checked against the order at evaluation
+    with pytest.raises(EvalError, match="D index"):
+        evaluate(expr, 3)
+    with pytest.raises(ParseError) as err:
+        parse("D9(x) + z")
+    assert err.value.offset == 8
 
 
-def test_render_inserts_minimal_parens():
-    assert render(Mul(Add(Sym("x"), Sym("y")), Sym("q"))) == "(x + y)*q"
-    assert render(Pow(Add(Sym("x"), Sym("y")), 2)) == "(x + y)^2"
-    assert render(Sub(Sym("x"), Sub(Sym("y"), Sym("q")))) == "x - (y - q)"
-    assert render(Neg(Pow(Sym("x"), 2))) == "-(x^2)"
+# Precedence levels of the source forms built below.
+_SUM, _PRODUCT, _POWER, _ATOM = 1, 2, 3, 4
+_FORMS = ["leaf", "+", "-", "*", "*", "neg", "^", "d", "partial", "D"]  # products twice: x*y != y*x
 
 
-_exprs = st.recursive(
-    st.one_of(
-        st.fractions(min_value=0, max_value=30, max_denominator=9).map(Number),
-        st.sampled_from(["q", "x", "y"]).map(Sym),
-    ),
-    lambda inner: st.one_of(
-        st.builds(Neg, inner),
-        st.builds(Add, inner, inner),
-        st.builds(Sub, inner, inner),
-        st.builds(Mul, inner, inner),
-        st.builds(Pow, inner, st.integers(min_value=0, max_value=6)),
-        st.builds(Call, st.sampled_from(["d", "partial"]), inner),
-        st.builds(CovD, st.integers(min_value=1, max_value=9), inner),
-    ),
-    max_leaves=12,
-)
+def _operand(part, level):
+    """The source of a (source, level, value) part, parenthesized below the given level."""
+    src, mine, _ = part
+    return src if mine >= level else f"({src})"
 
 
-@settings(max_examples=200)
-@given(_exprs)
-def test_parse_render_round_trip(tree):
-    assert parse(render(tree)) == tree
+@st.composite
+def _sources(draw, order, depth=3, x_only=False):
+    """A (source, precedence level, value) triple; the value is built by the library's operators.
+
+    With x_only the value stays in the x-subalgebra, as partial and Dk require.
+    """
+    forms = [f for f in _FORMS if not (x_only and f == "d")]
+    form = draw(st.sampled_from(forms)) if depth else "leaf"
+    if form == "leaf":
+        name = draw(st.sampled_from(["q", "x", "number"] + ["y"] * (not x_only)))
+        if name == "number":
+            f = draw(st.fractions(min_value=0, max_value=30, max_denominator=9))
+            return str(f), _ATOM, PlaneElement.from_scalar(order, f)
+        q = PlaneElement.from_scalar(order, CycScalar.q(order))
+        return name, _ATOM, {"q": q, "x": PlaneElement.x(order), "y": PlaneElement.y(order)}[name]
+    x_only = x_only or form in ("partial", "D")
+    a = draw(_sources(order, depth - 1, x_only))
+    if form in ("+", "-"):
+        b = draw(_sources(order, depth - 1, x_only))
+        value = a[2] + b[2] if form == "+" else a[2] - b[2]
+        return f"{_operand(a, _SUM)} {form} {_operand(b, _PRODUCT)}", _SUM, value
+    if form == "*":
+        b = draw(_sources(order, depth - 1, x_only))
+        return f"{_operand(a, _PRODUCT)}*{_operand(b, _POWER)}", _PRODUCT, a[2] * b[2]
+    if form == "neg":
+        return "-" + _operand(a, _ATOM), _ATOM, -a[2]
+    if form == "^":
+        k = draw(st.integers(min_value=0, max_value=3))
+        return f"{_operand(a, _ATOM)}^{k}", _POWER, a[2] ** k
+    if form == "d":
+        return f"d({a[0]})", _ATOM, differential(a[2])
+    if form == "partial":
+        src, op = f"partial({a[0]})", partial_derivative
+    else:
+        k = draw(st.integers(min_value=1, max_value=order - 1))
+        src, op = f"D{k}({a[0]})", covariant_operator(q_plane_families(order), k)
+    w = a[2]
+    return src, _ATOM, ExtElement.embed(w.carrier, op(w.component(0)))
+
+
+@settings(max_examples=200, deadline=timedelta(seconds=5))
+@given(st.one_of([st.tuples(st.just(n), _sources(n)) for n in range(2, 6)]))
+def test_parse_evaluates_as_the_library_operators(case):
+    order, (src, _, expected) = case
+    assert evaluate(parse(src), order) == expected
 
 
 def test_evaluate_relation_ideal():
@@ -294,25 +323,11 @@ def test_long_flat_chains_evaluate(capsys):
     assert capsys.readouterr().out == "-2999*x\n"
 
 
-def _left_spine(node):
-    """A left-nested chain as (operator, right operand) pairs plus its first operand.
-
-    Dataclass == on the chain itself recurses once per level, past the recursion limit.
-    """
-    spine = []
-    while isinstance(node, (Add, Sub, Mul)):
-        spine.append((type(node), node.right))
-        node = node.left
-    return spine, node
-
-
 @pytest.mark.parametrize("sep", [" + ", "*"])
-def test_long_flat_chains_render(sep):
-    src = sep.join(["x"] * 3001)
-    tree = parse(src)
-    text = render(tree)
-    assert text == src
-    assert _left_spine(parse(text)) == _left_spine(tree)
+def test_long_flat_chains_parse_and_evaluate(sep):
+    x = PlaneElement.x(3)
+    expected = x.scale(3001) if sep == " + " else x  # x^3001 = x at order 3
+    assert evaluate(parse(sep.join(["x"] * 3001)), 3) == expected
 
 
 def test_huge_exponent_ends_quickly():

@@ -600,3 +600,29 @@ def test_signed_carrier_boundaries():
             op(signed, plain)
         with pytest.raises(ValueError):
             op(plain, signed)
+
+
+def test_xpoly_refuses_a_sign_other_than_one_or_minus_one():
+    for sign in (2, 0, -2):
+        with pytest.raises(ValueError):
+            XPoly(2, (0, 1), sign)
+
+
+def test_evaluation_at_q_powers_refuses_sign_minus_one():
+    # q**j is no root of x**N + 1: x*x is -1, yet x at q squares to q**2 = 1
+    x = XPoly.x(2, -1)
+    for j in range(2):
+        with pytest.raises(ValueError):
+            x.evaluate_at_q_power(j)
+        with pytest.raises(ValueError):
+            (x * x).evaluate_at_q_power(j)
+
+
+def test_plane_element_refuses_a_row_of_another_sign():
+    with pytest.raises(ValueError):
+        PlaneElement(2, [XPoly.x(2, -1), XPoly.zero(2)])
+
+
+def test_plane_element_refuses_a_row_of_another_order():
+    with pytest.raises(ValueError):
+        PlaneElement(2, [XPoly.x(3), XPoly.zero(2)])

@@ -20,7 +20,6 @@ the covariant-derivative-like operator u -> q**k du/dx + Phi_k u.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Any, Callable
 
 from .cyclotomic import CycScalar
@@ -34,28 +33,28 @@ from .galois import (
 from .qplane import XPoly, XPolyCarrier
 
 
-@dataclass
 class CheckResult:
     """Outcome of one verified identity; residual is kept when it fails."""
 
-    name: str
-    passed: bool
-    residual: Any = None
+    def __init__(self, name: str, passed: bool, residual: Any = None):
+        self.name = name
+        self.passed = passed
+        self.residual = residual
 
     def __bool__(self) -> bool:
         return self.passed
 
 
-@dataclass
 class PolyFamilies:
     """The families of one coordinate; every inverse comes from its one
     Delta(x)**-1 = coordinate.delta_inv = dx_pow_inv[0] by phi-transport."""
 
-    coordinate: Coordinate
-    dkx: tuple          # P_1 .. P_N
-    dx_pow: tuple       # Q_1 .. Q_N
-    dx_pow_inv: tuple   # Q_1**-1 .. Q_N**-1
-    connection: tuple   # Phi_1 .. Phi_{N-1}
+    def __init__(self, coordinate: Coordinate, dkx, dx_pow, dx_pow_inv, connection):
+        self.coordinate = coordinate
+        self.dkx = dkx                # P_1 .. P_N
+        self.dx_pow = dx_pow          # Q_1 .. Q_N
+        self.dx_pow_inv = dx_pow_inv  # Q_1**-1 .. Q_N**-1
+        self.connection = connection  # Phi_1 .. Phi_{N-1}
 
     @property
     def carrier(self) -> CarrierAlgebra:
@@ -102,14 +101,11 @@ def identity_check(fam: PolyFamilies) -> list[CheckResult]:
     c = fam.carrier
     n = c.order
     top = fam.dkx[n - 1]
-    out = [CheckResult("dkx_top_vanishes", top.is_zero(), None if top.is_zero() else top)]
-    acc = c.zero()
-    for j in range(n):
-        acc = acc + c.phi_power(fam.dkx[n - 2], j)
-    out.append(
-        CheckResult("dkx_twisted_sum_vanishes", acc.is_zero(), None if acc.is_zero() else acc)
-    )
-    return out
+    twisted_sum = sum((c.phi_power(fam.dkx[n - 2], j) for j in range(n)), c.zero())
+    return [
+        CheckResult("dkx_top_vanishes", not top, top or None),
+        CheckResult("dkx_twisted_sum_vanishes", not twisted_sum, twisted_sum or None),
+    ]
 
 
 def to_dx_basis(form: KForm, fam: PolyFamilies):

@@ -531,12 +531,15 @@ def main(argv=None) -> int:
         sys.stdout.flush()  # a write error surfaces here, not in the exit flush
         return code
     except (ParseError, EvalError, NotInvertible) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message = str(exc)
     except OSError as exc:
         sys.stdout = open(os.devnull, "w")  # what stays buffered is dropped at exit
-        print(f"error: cannot write the output: {exc}", file=sys.stderr)
-        return 2
+        message = f"cannot write the output: {exc}"
+    try:  # the exit code is 2 whether or not stderr takes the error line
+        print(f"error: {message}", file=sys.stderr, flush=True)
+    except (AttributeError, OSError):  # stderr is closed or full
+        sys.stderr = open(os.devnull, "w")  # so the flush at exit cannot fail either
+    return 2
 
 
 if __name__ == "__main__":

@@ -77,8 +77,9 @@ def _reduce(order: int, vec) -> CycScalar:
 class Componentwise:
     """Sum, difference, equality and the zero test of a vector in a fixed basis.
 
-    Q(q), the x-subalgebra and the extension are each a Q(q)-vector space in
-    a fixed basis, where these rules act coefficient by coefficient.  A
+    Q(q), the x-subalgebra, the extension and the N x N matrices are each a
+    Q(q)-vector space in a fixed basis, where these rules act coefficient by
+    coefficient.  A
     subclass supplies ``_parts``, its coefficient tuple; ``_new(parts)``, the
     element of the same space with those coefficients; and ``_coerce(other)``,
     which returns ``other`` as such an element, None for a foreign operand

@@ -248,20 +248,19 @@ def tau(carrier: CarrierAlgebra, power: int = 1) -> ExtElement:
 
 
 def q_commutator(v: ExtElement, u: ExtElement) -> ExtElement:
-    """Graded q-commutator [v, u]_q = sum_{a,b} (v_a u_b - q**(ab) u_b v_a)."""
+    """Graded q-commutator [v, u]_q: a b - q**(|a||b|) b a summed over the forms a of v, b of u."""
     v._check(u)
     c = v.carrier
-    out = ExtElement.zero(c)
-    for a, va in enumerate(v.components):
-        if not va:
-            continue
-        ea = ExtElement.from_component(c, a, va)
-        for b, ub in enumerate(u.components):
-            if not ub:
-                continue
-            eb = ExtElement.from_component(c, b, ub)
-            out = out + ea * eb - (eb * ea).scale_by_q(a * b)
-    return out
+    right = u.forms()
+
+    def terms():
+        for a in v.forms():
+            for b in right:
+                yield a * b
+                ba = b * a
+                yield KForm(c, ba.degree, ba.coeff * -c.q_element(a.degree * b.degree))
+
+    return ExtElement.from_forms(c, terms())
 
 
 def differential(xi: ExtElement) -> ExtElement:

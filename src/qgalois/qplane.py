@@ -314,8 +314,8 @@ class PlaneElement(ExtElement):
 # -- matrix representation ----------------------------------------------------
 
 
-class RepMatrix:
-    """An N x N matrix over Q(q)."""
+class RepMatrix(Componentwise):
+    """An N x N matrix over Q(q); its parts are the entries row by row."""
 
     __slots__ = ("order", "entries")
 
@@ -330,24 +330,25 @@ class RepMatrix:
     def identity(order: int) -> RepMatrix:
         return represent(PlaneElement.one(order))
 
-    def _check(self, other):
-        if not isinstance(other, RepMatrix) or other.order != self.order:
-            raise ValueError("order mismatch")
+    @property
+    def _parts(self) -> tuple[CycScalar, ...]:
+        return tuple(e for row in self.entries for e in row)
 
-    def __add__(self, other):
-        self._check(other)
-        return RepMatrix(
-            self.order, (map(operator.add, r1, r2) for r1, r2 in zip(self.entries, other.entries))
-        )
+    def _new(self, parts) -> RepMatrix:
+        n = self.order
+        return RepMatrix(n, (parts[i : i + n] for i in range(0, n * n, n)))
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return RepMatrix(self.order, (map(operator.neg, row) for row in self.entries))
+    def _coerce(self, other) -> "RepMatrix | None":
+        if isinstance(other, RepMatrix):
+            if other.order != self.order:
+                raise ValueError("order mismatch")
+            return other
+        return None
 
     def __mul__(self, other):
-        self._check(other)
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
         n = self.order
         zero = CycScalar.zero(n)
         out = []
@@ -358,7 +359,7 @@ class RepMatrix:
                 for k in range(n):
                     a = self.entries[i][k]
                     if a:
-                        b = other.entries[k][j]
+                        b = o.entries[k][j]
                         if b:
                             acc = acc + a * b
                 row.append(acc)
@@ -371,16 +372,6 @@ class RepMatrix:
     def scale(self, coeff) -> RepMatrix:
         c = _as_scalar(self.order, coeff)
         return RepMatrix(self.order, (map(c.__mul__, row) for row in self.entries))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RepMatrix):
-            return NotImplemented
-        return self.order == other.order and self.entries == other.entries
-
-    __hash__ = None
-
-    def is_zero(self) -> bool:
-        return all(not e for row in self.entries for e in row)
 
     def __str__(self):
         return "\n".join("[" + ", ".join(map(str, row)) + "]" for row in self.entries)

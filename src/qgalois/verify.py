@@ -54,58 +54,42 @@ from . import quaternion as quat
 # -- seeded sample generators ---------------------------------------------------
 
 
-def _rand_fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-
-
 def _rand_scalar(rng: random.Random, order: int) -> CycScalar:
     deg = len(CycScalar.zero(order).coeffs)
     return CycScalar.from_poly(
-        order, [_rand_fraction(rng) if rng.random() < 0.8 else 0 for _ in range(deg)]
+        order,
+        [
+            Fraction(rng.randint(-6, 6), rng.randint(1, 4)) if rng.random() < 0.8 else 0
+            for _ in range(deg)
+        ],
     )
 
 
-def _rand_xpoly(rng: random.Random, order: int, terms: int = 2) -> XPoly:
-    acc = XPoly.zero(order)
+def _rand_xpoly(rng: random.Random, carrier: XPolyCarrier, terms: int = 2) -> XPoly:
+    n = carrier.order
+    acc = carrier.zero()
     for _ in range(terms):
-        acc = acc + XPoly.monomial(order, rng.randrange(order), _rand_scalar(rng, order))
+        acc = acc + XPoly.monomial(n, rng.randrange(n), _rand_scalar(rng, n), carrier.tau_sign)
     return acc
 
 
-def _rand_invertible(rng: random.Random, order: int, invert):
+def _rand_invertible(rng: random.Random, carrier: XPolyCarrier, invert):
     """A random element r for which invert(r) does not raise NotInvertible,
     returned with what invert made of it: the pair (r, invert(r))."""
     while True:
-        r = _rand_xpoly(rng, order)
+        r = _rand_xpoly(rng, carrier)
         try:
             return r, invert(r)
         except NotInvertible:
             continue
 
 
-def _rand_plane(rng: random.Random, order: int, terms: int = 3) -> PlaneElement:
-    acc = PlaneElement.zero(order)
-    for _ in range(terms):
-        acc = acc + PlaneElement.monomial(
-            order, rng.randrange(order), rng.randrange(order), _rand_scalar(rng, order)
-        )
-    return acc
-
-
 def _rand_ext(rng: random.Random, carrier: XPolyCarrier, live: int = 2) -> ExtElement:
     n = carrier.order
-    comps = [XPoly.zero(n)] * n
+    comps = [carrier.zero()] * n
     for _ in range(live):
-        comps[rng.randrange(n)] = _rand_xpoly(rng, n)
-    return ExtElement(carrier, comps)
-
-
-def _rand_complex(rng: random.Random) -> XPoly:
-    return XPoly(2, (_rand_fraction(rng), _rand_fraction(rng)), -1)
-
-
-def _rand_quaternion(rng: random.Random) -> ExtElement:
-    return quat.from_quaternion(*(_rand_fraction(rng) for _ in range(4)))
+        comps[rng.randrange(n)] = _rand_xpoly(rng, carrier)
+    return carrier.element(comps)
 
 
 # -- small check helpers --------------------------------------------------------
@@ -115,6 +99,25 @@ def _all_zero(name: str, residuals) -> CheckResult:
     for r in residuals:
         if not r.is_zero():
             return CheckResult(name, False, r)
+    return CheckResult(name, True)
+
+
+def _prefixed(prefix: str, rows) -> list[CheckResult]:
+    """The rows renamed into a suite's namespace, prefix.name."""
+    return [CheckResult(f"{prefix}.{r.name}", r.passed, r.residual) for r in rows]
+
+
+def _grading_additive(
+    name: str, rng: random.Random, carrier: XPolyCarrier, cases: int
+) -> CheckResult:
+    """A nonzero product of two homogeneous elements has the sum of their degrees."""
+    n = carrier.order
+    for _ in range(cases):
+        a = ExtElement.from_component(carrier, rng.randrange(n), _rand_xpoly(rng, carrier))
+        b = ExtElement.from_component(carrier, rng.randrange(n), _rand_xpoly(rng, carrier))
+        prod = a * b
+        if not prod.is_zero() and prod.degree() != (a.degree() + b.degree()) % n:
+            return CheckResult(name, False, prod)
     return CheckResult(name, True)
 
 
@@ -171,7 +174,7 @@ def galois_suite(order: int, rng: random.Random, cases: int) -> list[CheckResult
 
     def phi_res():
         for _ in range(cases):
-            u = _rand_xpoly(rng, n)
+            u = _rand_xpoly(rng, carrier)
             yield carrier.phi_power(carrier.phi(u), n - 1) - u
 
     out.append(_all_zero("galois.phi_has_order_n", phi_res()))
@@ -183,15 +186,7 @@ def galois_suite(order: int, rng: random.Random, cases: int) -> list[CheckResult
 
     out.append(_all_zero("galois.extension_associative", assoc_res()))
 
-    ok_res = None
-    for _ in range(cases):
-        a = ExtElement.from_component(carrier, rng.randrange(n), _rand_xpoly(rng, n))
-        b = ExtElement.from_component(carrier, rng.randrange(n), _rand_xpoly(rng, n))
-        prod = a * b
-        if not prod.is_zero() and prod.degree() != (a.degree() + b.degree()) % n:
-            ok_res = prod
-            break
-    out.append(CheckResult("galois.grading_additive", ok_res is None, ok_res))
+    out.append(_grading_additive("galois.grading_additive", rng, carrier, cases))
 
     def diff_vs_comm():
         for _ in range(cases):
@@ -212,7 +207,7 @@ def galois_suite(order: int, rng: random.Random, cases: int) -> list[CheckResult
     def leibniz():
         for _ in range(cases):
             l = rng.randrange(n)
-            u = ExtElement.from_component(carrier, l, _rand_xpoly(rng, n))
+            u = ExtElement.from_component(carrier, l, _rand_xpoly(rng, carrier))
             v = _rand_ext(rng, carrier)
             yield differential(u * v) - (differential(u) * v + (u * differential(v)).scale_by_q(l))
 
@@ -220,7 +215,7 @@ def galois_suite(order: int, rng: random.Random, cases: int) -> list[CheckResult
 
     def delta_rule():
         for _ in range(cases):
-            u, v = _rand_xpoly(rng, n), _rand_xpoly(rng, n)
+            u, v = _rand_xpoly(rng, carrier), _rand_xpoly(rng, carrier)
             yield delta(carrier, u * v) - (delta(carrier, u) * v + carrier.phi(u) * delta(carrier, v))
 
     out.append(_all_zero("galois.delta_product_rule", delta_rule()))
@@ -229,7 +224,7 @@ def galois_suite(order: int, rng: random.Random, cases: int) -> list[CheckResult
 
     def twisted_leibniz():
         for _ in range(cases):
-            u, v = _rand_xpoly(rng, n), _rand_xpoly(rng, n)
+            u, v = _rand_xpoly(rng, carrier), _rand_xpoly(rng, carrier)
             lhs = right_derivative(u * v, x)
             rhs = right_derivative(u, x) * v + conjugation_dx(u, x) * right_derivative(v, x)
             yield lhs - rhs
@@ -238,15 +233,15 @@ def galois_suite(order: int, rng: random.Random, cases: int) -> list[CheckResult
 
     def conj_hom():
         for _ in range(cases):
-            u, v = _rand_xpoly(rng, n), _rand_xpoly(rng, n)
+            u, v = _rand_xpoly(rng, carrier), _rand_xpoly(rng, carrier)
             yield conjugation_dx(u * v, x) - conjugation_dx(u, x) * conjugation_dx(v, x)
 
     out.append(_all_zero("galois.conjugation_multiplicative", conj_hom()))
 
     def chain():
         for _ in range(cases):
-            _, z = _rand_invertible(rng, n, lambda u: Coordinate(carrier, u))
-            u = _rand_xpoly(rng, n)
+            _, z = _rand_invertible(rng, carrier, lambda u: Coordinate(carrier, u))
+            u = _rand_xpoly(rng, carrier)
             dz_dx, dx_dz = change_of_variable(z, x)
             yield right_derivative(u, x) - dz_dx * right_derivative(u, z)
             yield dz_dx * dx_dz - carrier.one()
@@ -267,35 +262,26 @@ def qplane_suite(order: int, rng: random.Random, cases: int) -> list[CheckResult
 
     def assoc():
         for _ in range(cases):
-            a, b, c = (_rand_plane(rng, n) for _ in range(3))
+            a, b, c = (_rand_ext(rng, carrier) for _ in range(3))
             yield (a * b) * c - a * (b * c)
             yield a * one - a
             yield one * a - a
 
     out.append(_all_zero("qplane.mul_associative_unital", assoc()))
 
-    ok_res = None
-    for _ in range(cases):
-        a = PlaneElement.monomial(n, rng.randrange(n), rng.randrange(n), _rand_scalar(rng, n))
-        b = PlaneElement.monomial(n, rng.randrange(n), rng.randrange(n), _rand_scalar(rng, n))
-        p = a * b
-        if not p.is_zero() and p.degree() != (a.degree() + b.degree()) % n:
-            ok_res = p
-            break
-    out.append(CheckResult("qplane.grading_additive", ok_res is None, ok_res))
+    out.append(_grading_additive("qplane.grading_additive", rng, carrier, cases))
 
     def twist_law():
         for _ in range(cases):
-            r = _rand_xpoly(rng, n)
+            r = _rand_xpoly(rng, carrier)
             k = rng.randrange(n)
-            yk = PlaneElement.y(n) ** k
-            yield r * yk - ExtElement.from_component(carrier, k, r.twist(k))
+            yield r * y ** k - ExtElement.from_component(carrier, k, r.twist(k))
 
     out.append(_all_zero("qplane.twist_transport", twist_law()))
 
     def inv_round():
         for _ in range(cases):
-            r, r_inv = _rand_invertible(rng, n, XPoly.inverse)
+            r, r_inv = _rand_invertible(rng, carrier, XPoly.inverse)
             yield r * r_inv - XPoly.one(n)
 
     out.append(_all_zero("qplane.x_inverse_round_trip", inv_round()))
@@ -310,23 +296,18 @@ def qplane_suite(order: int, rng: random.Random, cases: int) -> list[CheckResult
 
     def rep_hom():
         for _ in range(cases):
-            a, b = _rand_plane(rng, n), _rand_plane(rng, n)
+            a, b = _rand_ext(rng, carrier), _rand_ext(rng, carrier)
             yield represent(a * b) - represent(a) * represent(b)
             yield represent(a + b) - (represent(a) + represent(b))
 
     out.append(_all_zero("qplane.representation_multiplicative", rep_hom()))
 
-    basis = basis_matrices(n)
-    vectors = [
-        [m.entries[i][j] for i in range(n) for j in range(n)]
-        for (_, m) in sorted(basis.items())
-    ]
-    ok = scalar_rank(vectors) == n * n
+    ok = scalar_rank([m._parts for _, m in sorted(basis_matrices(n).items())]) == n * n
     out.append(CheckResult("qplane.representation_faithful", ok))
 
     def delta_q_props():
         for _ in range(cases):
-            w, w2 = _rand_xpoly(rng, n), _rand_xpoly(rng, n)
+            w, w2 = _rand_xpoly(rng, carrier), _rand_xpoly(rng, carrier)
             dq = lambda r: r - r.twist(1)
             yield dq(w * w2) - (dq(w) * w2 + w.twist(1) * dq(w2))
         for k in range(n):
@@ -339,7 +320,7 @@ def qplane_suite(order: int, rng: random.Random, cases: int) -> list[CheckResult
 
     def carrier_diff():
         for _ in range(cases):
-            w = _rand_xpoly(rng, n)
+            w = _rand_xpoly(rng, carrier)
             lhs = differential(ExtElement.embed(carrier, w))
             rhs = ExtElement.from_component(carrier, 1, w - w.twist(1))
             yield lhs - rhs
@@ -357,8 +338,7 @@ def calculus_suite(order: int, rng: random.Random, cases: int) -> list[CheckResu
     one = CycScalar.one(n)
     q = CycScalar.q(n)
 
-    for res in identity_check(fam):
-        out.append(CheckResult(f"calculus.{res.name}", res.passed, res.residual))
+    out.extend(_prefixed("calculus", identity_check(fam)))
 
     def phi_closed():
         for k in range(1, n):
@@ -377,7 +357,7 @@ def calculus_suite(order: int, rng: random.Random, cases: int) -> list[CheckResu
     def round_trip():
         for _ in range(cases):
             k = rng.randrange(n)
-            form = KForm(carrier, k, _rand_xpoly(rng, n))
+            form = KForm(carrier, k, _rand_xpoly(rng, carrier))
             back = from_dx_basis(fam, k, to_dx_basis(form, fam))
             yield _form_residual(form, back)
 
@@ -386,7 +366,7 @@ def calculus_suite(order: int, rng: random.Random, cases: int) -> list[CheckResu
     def covariant():
         for _ in range(cases):
             k = rng.randrange(1, n)
-            r = _rand_xpoly(rng, n)
+            r = _rand_xpoly(rng, carrier)
             lhs = from_dx_basis(fam, k, r).differential()
             rhs = from_dx_basis(fam, k + 1, covariant_operator(fam, k)(r))
             yield _form_residual(lhs, rhs)
@@ -402,14 +382,14 @@ def calculus_suite(order: int, rng: random.Random, cases: int) -> list[CheckResu
 
     def partial_vs_rd():
         for _ in range(cases):
-            r = _rand_xpoly(rng, n)
+            r = _rand_xpoly(rng, carrier)
             yield partial_derivative(r) - right_derivative(r, x)
 
     out.append(_all_zero("calculus.partial_matches_right_derivative", partial_vs_rd()))
 
     def partial_leibniz():
         for _ in range(cases):
-            r, s = _rand_xpoly(rng, n), _rand_xpoly(rng, n)
+            r, s = _rand_xpoly(rng, carrier), _rand_xpoly(rng, carrier)
             yield partial_derivative(r * s) - (partial_derivative(r) * s + r.twist(1) * partial_derivative(s))
 
     out.append(_all_zero("calculus.partial_twisted_leibniz", partial_leibniz()))
@@ -417,7 +397,7 @@ def calculus_suite(order: int, rng: random.Random, cases: int) -> list[CheckResu
     def hd_two_routes():
         for k in range(n):
             for _ in range(max(1, cases // n)):
-                r = _rand_xpoly(rng, n)
+                r = _rand_xpoly(rng, carrier)
                 yield higher_delta(k, r) - higher_delta_closed(k, r)
 
     out.append(_all_zero("calculus.higher_delta_two_routes", hd_two_routes()))
@@ -425,7 +405,7 @@ def calculus_suite(order: int, rng: random.Random, cases: int) -> list[CheckResu
     def hd_derivation():
         for _ in range(cases):
             k = rng.randrange(n)
-            r, s = _rand_xpoly(rng, n), _rand_xpoly(rng, n)
+            r, s = _rand_xpoly(rng, carrier), _rand_xpoly(rng, carrier)
             rhs = higher_delta(k, r) * s + (r.twist(1) * higher_delta(0, s)).scale(
                 CycScalar.q_power(n, k)
             )
@@ -436,7 +416,7 @@ def calculus_suite(order: int, rng: random.Random, cases: int) -> list[CheckResu
     def hd_matches_covariant():
         for k in range(1, n):
             for _ in range(max(1, cases // n)):
-                r = _rand_xpoly(rng, n)
+                r = _rand_xpoly(rng, carrier)
                 yield higher_delta(k, r) - covariant_operator(fam, k)(r)
 
     out.append(_all_zero("calculus.higher_delta_matches_covariant", hd_matches_covariant()))
@@ -462,7 +442,7 @@ def calculus_suite(order: int, rng: random.Random, cases: int) -> list[CheckResu
 
     def forms_nilpotent():
         for _ in range(cases):
-            form = KForm(carrier, rng.randrange(n), _rand_xpoly(rng, n))
+            form = KForm(carrier, rng.randrange(n), _rand_xpoly(rng, carrier))
             for _ in range(n):
                 form = form.differential()
             yield form
@@ -482,6 +462,7 @@ _QUAT_TABLE = {
 
 def quaternion_suite(rng: random.Random, cases: int) -> list[CheckResult]:
     out = []
+    carrier = quat.CARRIER
     basis = [quat.QUAT_ONE, quat.QUAT_I, quat.QUAT_J, quat.QUAT_K]
 
     bad = None
@@ -497,35 +478,29 @@ def quaternion_suite(rng: random.Random, cases: int) -> list[CheckResult]:
             xi = quat.from_quaternion(*(1 if signs & (1 << b) else -1 for b in range(4)))
             yield differential(differential(xi))
         for _ in range(cases):
-            xi = _rand_quaternion(rng)
+            xi = _rand_ext(rng, carrier)
             yield differential(differential(xi))
 
     out.append(_all_zero("quaternion.differential_nilpotent", nilpotent()))
 
-    def second_deriv():
+    def operands():
+        """u and a coordinate x, which needs a nonzero j part."""
         for _ in range(cases):
-            u = _rand_complex(rng)
-            x = _rand_complex(rng)
-            if not x.coeffs[1]:
-                x = XPoly(2, (x.coeffs[0], 1), -1)
-            yield quat.second_right_derivative(u, x)
+            u, x = _rand_xpoly(rng, carrier), _rand_xpoly(rng, carrier)
+            yield u, x if x.coeffs[1] else x + carrier.x()
 
-    out.append(_all_zero("quaternion.second_derivative_vanishes", second_deriv()))
+    second = (quat.second_right_derivative(u, x) for u, x in operands())
+    out.append(_all_zero("quaternion.second_derivative_vanishes", second))
 
     def witness():
-        for _ in range(cases):
-            u, x = _rand_complex(rng), _rand_complex(rng)
-            if not x.coeffs[1]:
-                x = XPoly(2, (x.coeffs[0], 2), -1)
+        for u, x in operands():
             c, d = quat.linear_decomposition(u, x)
-            rebuilt = x * d + c
-            yield u - rebuilt
+            yield u - (x * d + c)
 
     out.append(_all_zero("quaternion.affine_decomposition", witness()))
 
-    fam = build_families(quat.CARRIER, quat.CARRIER.x())
-    for res in identity_check(fam):
-        out.append(CheckResult(f"quaternion.{res.name}", res.passed, res.residual))
+    fam = build_families(carrier, carrier.x())
+    out.extend(_prefixed("quaternion", identity_check(fam)))
     return out
 
 

@@ -66,6 +66,8 @@ from qgalois.quaternion import (
     to_quaternion,
 )
 
+from samplers import rand_plane, rand_quat, rand_xpoly
+
 ORDERS = (2, 3, 4, 5, 6)
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -76,26 +78,6 @@ def _report(num: int, label: str, ok: bool, detail: str = "") -> None:
     if detail and not ok:
         line += f" ({detail})"
     print(line)
-
-
-def rand_plane(rng, order, span=5):
-    w = PlaneElement.zero(order)
-    for _ in range(rng.randint(1, 4)):
-        w = w + PlaneElement.monomial(
-            order, rng.randrange(order), rng.randrange(order), Fraction(rng.randint(-span, span))
-        )
-    return w
-
-
-def rand_xpoly(rng, order, span=5):
-    return XPoly(
-        order,
-        [CycScalar.from_rational(order, Fraction(rng.randint(-span, span))) for _ in range(order)],
-    )
-
-
-def rand_quat(rng, span=9):
-    return from_quaternion(*(Fraction(rng.randint(-span, span)) for _ in range(4)))
 
 
 def test_criterion_01_nilpotency():

@@ -8,6 +8,8 @@ The counter reads cProfile, so no two library code objects may share its key.
 
 import importlib
 import importlib.util
+import inspect
+import pkgutil
 import types
 from pathlib import Path
 
@@ -57,3 +59,21 @@ def test_no_two_code_objects_share_a_profile_key():
             stack.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
         shared = sorted(k for k in set(keys) if keys.count(k) > 1)
         assert not shared, f"{path.name}: {shared}"
+
+
+def test_no_library_method_compiles_from_a_string():
+    """Generated methods (a dataclass's ``__init__``, ``__eq__``, ...) compile
+    from "<string>", where cProfile keys every class's copy alike."""
+    import qgalois
+
+    for info in pkgutil.iter_modules(qgalois.__path__):
+        if info.name == "__main__":  # running it would exit
+            continue
+        module = importlib.import_module(f"qgalois.{info.name}")
+        for cls in vars(module).values():
+            if not isinstance(cls, type) or cls.__module__ != module.__name__:
+                continue
+            for name, attr in vars(cls).items():
+                fn = attr.fget if isinstance(attr, property) else getattr(attr, "__func__", attr)
+                code = getattr(inspect.unwrap(fn), "__code__", None)
+                assert code is None or code.co_filename != "<string>", f"{cls.__qualname__}.{name}"

@@ -436,6 +436,22 @@ def test_an_output_that_cannot_be_written_is_a_user_error(sink, unbuffered):
     assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "args, full",
+    [
+        (["normalize", "--order", "2", "x+"], ("stderr",)),
+        (["tables", "--order", "2"], ("stdout", "stderr")),
+        (["verify", "--order", "2", "--cases", "2"], ("stdout", "stderr")),
+    ],
+    ids=["error-line", "tables", "verify"],
+)
+def test_an_error_line_that_cannot_be_written_still_exits_2(args, full):
+    with _dev_full() as sink:
+        streams = {name: sink if name in full else subprocess.PIPE for name in ("stdout", "stderr")}
+        proc = subprocess.run([sys.executable, "-m", "qgalois", *args], timeout=60, **streams)
+    assert proc.returncode == 2
+
+
 # The grammar's alphabet; strings of these tokens reach every branch of the parser.
 _FUZZ_TOKENS = [*"0123456789/qxy", "d(", "partial(", "D1(", "D9(", *"+-*^()", " "]
 

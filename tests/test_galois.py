@@ -31,12 +31,7 @@ from qgalois import (
 )
 from qgalois.quaternion import CARRIER, QUAT_I, QUAT_ONE
 
-
-def rand_xpoly(rng, order, span=6):
-    return XPoly(
-        order,
-        [CycScalar.from_rational(order, Fraction(rng.randint(-span, span))) for _ in range(order)],
-    )
+from samplers import rand_xpoly
 
 
 def rand_ext(rng, carrier, span=6):
@@ -123,9 +118,38 @@ def test_q_commutator_basics():
     assert q_commutator(tau(c), ExtElement.one(c)).is_zero()
     # [v, v] = (1 - q) v^2 for v of degree 1
     rng = random.Random(9)
-    v = ExtElement.from_component(c, 1, rand_xpoly(rng, 3))
+    v = ExtElement.from_component(c, 1, rand_xpoly(rng, 3, span=6))
     q = CycScalar.q(3)
     assert q_commutator(v, v) == (v * v).scale(1 - q)
+
+
+def pairwise_q_commutator(v, u):
+    """sum_{a,b} (v_a u_b - q**(ab) u_b v_a), one extension product per ordered pair."""
+    c = v.carrier
+    out = ExtElement.zero(c)
+    for a, va in enumerate(v.components):
+        for b, ub in enumerate(u.components):
+            ea, eb = ExtElement.from_component(c, a, va), ExtElement.from_component(c, b, ub)
+            out = out + ea * eb - (eb * ea).scale_by_q(a * b)
+    return out
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("order", range(2, 7))
+def test_q_commutator_matches_the_pairwise_product_formula(order, sign):
+    c = XPolyCarrier(order, sign)
+    rng = random.Random(70 + order)
+
+    def sample():
+        """About 6 in 10 components nonzero, each a dense x-polynomial of this sign."""
+        comps = [XPoly(order, rand_xpoly(rng, order, 3).coeffs, sign) for _ in range(order)]
+        return ExtElement(c, [u if rng.random() < 0.6 else c.zero() for u in comps])
+
+    for _ in range(4):
+        v, u = sample(), sample()
+        assert q_commutator(v, u) == pairwise_q_commutator(v, u)
+    t = tau(c)
+    assert q_commutator(t, t) == pairwise_q_commutator(t, t)
 
 
 def test_differential_agrees_with_the_commutator():
@@ -150,7 +174,7 @@ def test_top_degree_lands_in_degree_zero():
     rng = random.Random(17)
     for order in (2, 4):
         c = XPolyCarrier(order)
-        xi = ExtElement.from_component(c, order - 1, rand_xpoly(rng, order))
+        xi = ExtElement.from_component(c, order - 1, rand_xpoly(rng, order, span=6))
         d = differential(xi)
         assert d.is_zero() or d.degree() == 0
 
@@ -185,7 +209,7 @@ def test_phi_iterates_to_identity():
     for order in (2, 3, 6):
         c = XPolyCarrier(order)
         for _ in range(10):
-            u = rand_xpoly(rng, order)
+            u = rand_xpoly(rng, order, span=6)
             w = u
             for _ in range(order):
                 w = c.phi(w)
@@ -201,7 +225,7 @@ def test_delta_reference_values_and_product_rule():
     assert delta(c, x * x) == (x * x).scale(1 - q ** 2)
     rng = random.Random(37)
     for _ in range(20):
-        u, v = rand_xpoly(rng, 4), rand_xpoly(rng, 4)
+        u, v = rand_xpoly(rng, 4, span=6), rand_xpoly(rng, 4, span=6)
         assert delta(c, u * v) == delta(c, u) * v + c.phi(u) * delta(c, v)
 
 
@@ -225,7 +249,7 @@ def test_derivative_reassembles_the_differential():
         cx = Coordinate(c, x)
         dx = ExtElement.from_component(c, 1, delta(c, x))
         for _ in range(15):
-            u = rand_xpoly(rng, order)
+            u = rand_xpoly(rng, order, span=6)
             du = ExtElement.from_component(c, 1, delta(c, u))
             assert du == dx * ExtElement.embed(c, right_derivative(u, cx))
 
@@ -239,7 +263,7 @@ def test_conjugation_transport():
     assert conjugation_dx(x, cx) == x.twist(1)
     rng = random.Random(43)
     for _ in range(15):
-        u, v = rand_xpoly(rng, 3), rand_xpoly(rng, 3)
+        u, v = rand_xpoly(rng, 3, span=6), rand_xpoly(rng, 3, span=6)
         assert conjugation_dx(u * v, cx) == conjugation_dx(u, cx) * conjugation_dx(v, cx)
 
 
@@ -249,7 +273,7 @@ def test_twisted_leibniz_for_the_right_derivative():
         c = XPolyCarrier(order)
         cx = Coordinate(c, c.x())
         for _ in range(20):
-            u, v = rand_xpoly(rng, order), rand_xpoly(rng, order)
+            u, v = rand_xpoly(rng, order, span=6), rand_xpoly(rng, order, span=6)
             lhs = right_derivative(u * v, cx)
             rhs = right_derivative(u, cx) * v + conjugation_dx(u, cx) * right_derivative(v, cx)
             assert lhs == rhs
@@ -283,7 +307,7 @@ def test_chain_rule_through_an_intermediate_coordinate():
         cx = Coordinate(c, x)
         cy = Coordinate(c, x * x)  # Delta(y) = (1 - q^2) x^2 is a unit for order > 2
         for _ in range(15):
-            u = rand_xpoly(rng, order)
+            u = rand_xpoly(rng, order, span=6)
             yx, _ = change_of_variable(cy, cx)
             assert right_derivative(u, cx) == yx * right_derivative(u, cy)
 
@@ -546,7 +570,7 @@ def test_a_foreign_operand_is_a_type_error(kind):
 def test_q_element_is_the_scalar_q_power(order):
     carrier = XPolyCarrier(order)
     rng = random.Random(order)
-    xi = PlaneElement(order, [rand_xpoly(rng, order) for _ in range(order)])
+    xi = PlaneElement(order, [rand_xpoly(rng, order, span=6) for _ in range(order)])
     plain = ExtElement(carrier, xi.components)
     for k in range(-1, order + 1):
         qk = CycScalar.q_power(order, k)

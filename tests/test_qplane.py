@@ -24,20 +24,7 @@ from qgalois import (
 from qgalois.quaternion import QUAT_I
 from qgalois.qplane import basis_matrices, scalar_rank
 
-
-def rand_plane(rng, order, span=5):
-    w = PlaneElement.zero(order)
-    for _ in range(rng.randint(1, 4)):
-        k, l = rng.randrange(order), rng.randrange(order)
-        w = w + PlaneElement.monomial(order, k, l, Fraction(rng.randint(-span, span)))
-    return w
-
-
-def rand_xpoly(rng, order, span=5):
-    return XPoly(
-        order,
-        [CycScalar.from_rational(order, Fraction(rng.randint(-span, span))) for _ in range(order)],
-    )
+from samplers import rand_plane, rand_xpoly
 
 
 @pytest.mark.parametrize("order", [2, 3, 4, 5])
@@ -158,15 +145,15 @@ def test_zero_divisors_are_detected():
 
 
 def test_evaluation_at_roots():
-    order = 3
     rng = random.Random(103)
-    r = rand_xpoly(rng, order)
-    for j in range(order):
-        point = CycScalar.q_power(order, j)
-        expected = sum(
-            (c * point ** l for l, c in enumerate(r.coeffs)), CycScalar.zero(order)
-        )
-        assert r.evaluate_at_q_power(j) == expected
+    for order in range(2, 9):
+        for r in [rand_xpoly(rng, order) for _ in range(3)] + [XPoly.zero(order), XPoly.x(order)]:
+            for j in range(-order, 2 * order):
+                point = CycScalar.q_power(order, j)
+                expected = sum(
+                    (c * point ** l for l, c in enumerate(r.coeffs)), CycScalar.zero(order)
+                )
+                assert r.evaluate_at_q_power(j) == expected
 
 
 def hand_matrices(order):
@@ -626,3 +613,27 @@ def test_plane_element_refuses_a_row_of_another_sign():
 def test_plane_element_refuses_a_row_of_another_order():
     with pytest.raises(ValueError):
         PlaneElement(2, [XPoly.x(3), XPoly.zero(2)])
+
+
+@pytest.mark.parametrize("order", [2, 3, 5])
+def test_rep_matrix_differences_and_truth_value(order):
+    rng = random.Random(420 + order)
+    zero = RepMatrix(order, [[CycScalar.zero(order)] * order] * order)
+    samples = [represent(rand_plane(rng, order)) for _ in range(8)]
+    for m in [zero, RepMatrix.identity(order)] + samples:
+        assert m - m == zero and (m - m).is_zero() and not m - m
+        assert bool(m) == any(e for row in m.entries for e in row)
+        assert -m + m == zero and m + zero == m
+    assert not zero and RepMatrix.identity(order)
+
+
+def test_rep_matrix_operands():
+    """Another order compares unequal and is refused in arithmetic; a scalar is no operand."""
+    m = RepMatrix.identity(2)
+    assert m != RepMatrix.identity(3)
+    assert RepMatrix(2, [[0, 0], [0, 0]]) != RepMatrix(3, [[0] * 3] * 3)
+    with pytest.raises(ValueError):
+        m + RepMatrix.identity(3)
+    for op in (lambda: m + 1, lambda: 1 + m, lambda: m - 1, lambda: m * 2):
+        with pytest.raises(TypeError):
+            op()

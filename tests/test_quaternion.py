@@ -23,6 +23,8 @@ from qgalois import (
 )
 from qgalois.quaternion import CARRIER, QUAT_I, QUAT_J, QUAT_K, QUAT_ONE
 
+from samplers import rand_quat
+
 # Hamilton's table, written down independently of the extension product:
 # value of e_a * e_b for basis order (1, i, j, k), stored as (sign, index).
 HAMILTON = {
@@ -42,10 +44,6 @@ def quat(a0, a1, a2, a3):
 def cx(a, b=0):
     """a + b j in the carrier Q(j), j**2 = -1."""
     return XPoly(2, (a, b), -1)
-
-
-def rand_quat(rng, span=9):
-    return quat(*(Fraction(rng.randint(-span, span)) for _ in range(4)))
 
 
 def test_multiplication_table_matches_hamilton():

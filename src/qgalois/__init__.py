@@ -8,7 +8,6 @@ line (s = -1, N = 2, tau = i, x = j, q = -1).
 
 from .cyclotomic import CycScalar, Rational, cyclotomic_polynomial, q_factorial, q_integer
 from .galois import (
-    CarrierAlgebra,
     Coordinate,
     ExtElement,
     KForm,
@@ -53,7 +52,6 @@ from .quaternion import (
 )
 
 __all__ = [
-    "CarrierAlgebra",
     "CheckResult",
     "Coordinate",
     "CycScalar",

@@ -23,13 +23,7 @@ import functools
 from typing import Any, Callable
 
 from .cyclotomic import CycScalar
-from .galois import (
-    CarrierAlgebra,
-    Coordinate,
-    KForm,
-    conjugation_dx,
-    delta,
-)
+from .galois import Coordinate, KForm, conjugation_dx, delta
 from .qplane import XPoly, XPolyCarrier
 
 
@@ -57,7 +51,7 @@ class PolyFamilies:
         self.connection = connection  # Phi_1 .. Phi_{N-1}
 
     @property
-    def carrier(self) -> CarrierAlgebra:
+    def carrier(self) -> XPolyCarrier:
         return self.coordinate.carrier
 
     @property
@@ -65,7 +59,7 @@ class PolyFamilies:
         return self.carrier.order
 
 
-def build_families(carrier: CarrierAlgebra, x) -> PolyFamilies:
+def build_families(carrier: XPolyCarrier, x) -> PolyFamilies:
     """All families from one inversion of Delta(x); raises
     NonInvertibleCoordinate when Delta(x) has no inverse.
 
@@ -101,7 +95,7 @@ def identity_check(fam: PolyFamilies) -> list[CheckResult]:
     c = fam.carrier
     n = c.order
     top = fam.dkx[n - 1]
-    twisted_sum = sum((c.phi_power(fam.dkx[n - 2], j) for j in range(n)), c.zero())
+    twisted_sum = sum((c.phi(fam.dkx[n - 2], j) for j in range(n)), c.zero())
     return [
         CheckResult("dkx_top_vanishes", not top, top or None),
         CheckResult("dkx_twisted_sum_vanishes", not twisted_sum, twisted_sum or None),

@@ -256,7 +256,8 @@ class _Parser:
 def parse(src: str):
     """Parse a whole source string into a function of the order that evaluates it.
 
-    Raises ParseError with the byte offset of the first syntax error.
+    Raises ParseError at the first syntax error, its offset a str index: it
+    counts characters, not the bytes of an encoding.
     """
     return _Parser(src).parse()
 

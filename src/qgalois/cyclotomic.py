@@ -367,6 +367,8 @@ def q_integer(k: int, order: int) -> CycScalar:
 
 def q_factorial(k: int, order: int) -> CycScalar:
     """[k]_q! = [1]_q [2]_q ... [k]_q; [0]_q! = 1."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     acc = CycScalar.one(order)
     for j in range(1, k + 1):
         acc = acc * q_integer(j, order)

@@ -10,15 +10,26 @@ primitive N-th root of unity in the carrier's scalar field.  On a homogeneous
 element tau**k u it acts as tau**(k+1) (u - q**k phi(u)); it is nilpotent of
 order exactly N and satisfies the graded q-Leibniz rule
 d(uv) = d(u) v + q**|u| u d(v).
+
+The carrier is ``qplane.XPolyCarrier``, named here only in annotations.  This
+module reads from it ``order`` (N), ``tau_sign`` (s), ``zero()``, ``one()``,
+``phi(u, k=1)`` (phi**k, any integer k), ``invert(u)`` (raises NotInvertible
+when there is no inverse), ``q_element(k)`` (the scalar q**k, acting through
+``u * q_element(k)``), ``element(components)``, which builds every extension
+element, and ``lift(value)``, an operand that is no extension element as one,
+or None.  Carrier elements bring ``+ - * ==``, unary minus and a truth value
+that is false only at zero.
 """
 
 from __future__ import annotations
 
 import operator
-from abc import ABC, abstractmethod
-from typing import Any
+from typing import TYPE_CHECKING
 
 from .cyclotomic import Componentwise, power
+
+if TYPE_CHECKING:
+    from .qplane import XPolyCarrier
 
 
 class NotInvertible(ArithmeticError):
@@ -27,56 +38,6 @@ class NotInvertible(ArithmeticError):
 
 class NonInvertibleCoordinate(NotInvertible):
     """The finite difference of the chosen coordinate cannot be inverted."""
-
-
-class CarrierAlgebra(ABC):
-    """The structure a carrier algebra adds to its elements' own arithmetic.
-
-    Carrier elements provide ``+``, ``-``, ``*``, ``==``, unary minus and a
-    truth value that is false exactly at zero; the carrier supplies what is
-    not a plain operator.  ``order`` is N; ``tau_sign`` the sign s in
-    tau**N = s*1.  ``q_element(k)`` is the scalar q**k, which acts on carrier
-    elements through ``u * q_element(k)``; it keeps the grading code generic
-    over how q sits in the carrier's scalar field: the generator of Q(q),
-    which is -1 at N = 2 (the quaternion instance).
-    ``element`` builds every extension element over the carrier, so a carrier
-    can give its elements a subclass of ExtElement; ``lift`` turns an operand
-    that is not an extension element into one.
-    """
-
-    order: int
-    tau_sign: int
-
-    @abstractmethod
-    def zero(self) -> Any: ...
-
-    @abstractmethod
-    def one(self) -> Any: ...
-
-    @abstractmethod
-    def phi(self, u) -> Any:
-        """The twisting endomorphism; phi**order must be the identity."""
-
-    @abstractmethod
-    def invert(self, u) -> Any:
-        """Multiplicative inverse; raises NotInvertible when there is none."""
-
-    @abstractmethod
-    def q_element(self, k: int) -> Any:
-        """The scalar q**k, acting on carrier elements through ``*``."""
-
-    def phi_power(self, u, k: int):
-        for _ in range(k % self.order):
-            u = self.phi(u)
-        return u
-
-    def element(self, components) -> ExtElement:
-        """The extension element with these components; every result is built here."""
-        return ExtElement(self, components)
-
-    def lift(self, value) -> ExtElement | None:
-        """``value`` as an extension element, or None when it is no operand here."""
-        return None
 
 
 class KForm:
@@ -89,7 +50,7 @@ class KForm:
 
     __slots__ = ("carrier", "degree", "coeff")
 
-    def __init__(self, carrier: CarrierAlgebra, degree: int, coeff):
+    def __init__(self, carrier: XPolyCarrier, degree: int, coeff):
         wraps, degree = divmod(degree, carrier.order)
         if wraps % 2 and carrier.tau_sign < 0:
             coeff = -coeff
@@ -104,9 +65,7 @@ class KForm:
         if self.carrier != other.carrier:
             raise ValueError("forms live over different carriers")
         c = self.carrier
-        return KForm(
-            c, self.degree + other.degree, c.phi_power(self.coeff, other.degree) * other.coeff
-        )
+        return KForm(c, self.degree + other.degree, c.phi(self.coeff, other.degree) * other.coeff)
 
     def differential(self) -> KForm:
         """d(tau**k u) = tau**(k+1) (u - q**k phi(u))."""
@@ -137,7 +96,7 @@ class ExtElement(Componentwise):
 
     __slots__ = ("carrier", "components")
 
-    def __init__(self, carrier: CarrierAlgebra, components):
+    def __init__(self, carrier: XPolyCarrier, components):
         components = tuple(components)
         if len(components) != carrier.order:
             raise ValueError("component count must equal the grading order")
@@ -147,7 +106,7 @@ class ExtElement(Componentwise):
     # -- constructors --------------------------------------------------------
 
     @staticmethod
-    def from_component(carrier: CarrierAlgebra, k: int, u) -> ExtElement:
+    def from_component(carrier: XPolyCarrier, k: int, u) -> ExtElement:
         """tau**k u, with tau**N folded as in KForm."""
         f = KForm(carrier, k, u)
         comps = [carrier.zero()] * carrier.order
@@ -155,7 +114,7 @@ class ExtElement(Componentwise):
         return carrier.element(comps)
 
     @staticmethod
-    def from_forms(carrier: CarrierAlgebra, forms) -> ExtElement:
+    def from_forms(carrier: XPolyCarrier, forms) -> ExtElement:
         """The sum of homogeneous forms over one carrier."""
         comps = [None] * carrier.order
         for f in forms:
@@ -164,15 +123,15 @@ class ExtElement(Componentwise):
         return carrier.element(carrier.zero() if u is None else u for u in comps)
 
     @staticmethod
-    def embed(carrier: CarrierAlgebra, u) -> ExtElement:
+    def embed(carrier: XPolyCarrier, u) -> ExtElement:
         return ExtElement.from_component(carrier, 0, u)
 
     @staticmethod
-    def zero(carrier: CarrierAlgebra) -> ExtElement:
+    def zero(carrier: XPolyCarrier) -> ExtElement:
         return carrier.element([carrier.zero()] * carrier.order)
 
     @staticmethod
-    def one(carrier: CarrierAlgebra) -> ExtElement:
+    def one(carrier: XPolyCarrier) -> ExtElement:
         return ExtElement.from_component(carrier, 0, carrier.one())
 
     # -- structure -----------------------------------------------------------
@@ -242,7 +201,7 @@ class ExtElement(Componentwise):
         return f"ExtElement[{body}]"
 
 
-def tau(carrier: CarrierAlgebra, power: int = 1) -> ExtElement:
+def tau(carrier: XPolyCarrier, power: int = 1) -> ExtElement:
     """tau**power as an extension element; tau**N folds to tau_sign."""
     return ExtElement.from_component(carrier, power, carrier.one())
 
@@ -268,7 +227,7 @@ def differential(xi: ExtElement) -> ExtElement:
     return ExtElement.from_forms(xi.carrier, (f.differential() for f in xi.forms()))
 
 
-def delta(carrier: CarrierAlgebra, u):
+def delta(carrier: XPolyCarrier, u):
     """First-order difference Delta(u) = u - phi(u) on the carrier."""
     return u - carrier.phi(u)
 
@@ -282,7 +241,7 @@ class Coordinate:
 
     __slots__ = ("carrier", "x", "delta_x", "delta_inv")
 
-    def __init__(self, carrier: CarrierAlgebra, x):
+    def __init__(self, carrier: XPolyCarrier, x):
         dx = delta(carrier, x)
         try:
             inv = carrier.invert(dx)

@@ -20,7 +20,7 @@ import operator
 from fractions import Fraction
 
 from .cyclotomic import Componentwise, CycScalar, power, render_terms
-from .galois import CarrierAlgebra, ExtElement, NotInvertible
+from .galois import ExtElement, NotInvertible
 
 _SCALARS = (int, Fraction, CycScalar)
 
@@ -186,7 +186,7 @@ class XPoly(Componentwise):
         return f"XPoly({self.order}, {self!s}{sign})"
 
 
-class XPolyCarrier(CarrierAlgebra):
+class XPolyCarrier:
     """The x-subalgebra as the carrier of the extension generated by tau = y.
 
     ``tau_sign`` is the sign s of both tau**N = s and x**N = s: 1 gives the
@@ -207,11 +207,9 @@ class XPolyCarrier(CarrierAlgebra):
     def one(self):
         return XPoly.one(self.order, self.tau_sign)
 
-    def phi(self, u):
-        return u.twist(1)
-
-    def phi_power(self, u, k: int):
-        return u.twist(k % self.order)
+    def phi(self, u, k: int = 1):
+        """phi**k, the substitution x -> q**k x; phi**N is the identity."""
+        return u.twist(k)
 
     def invert(self, u):
         return u.inverse()

@@ -394,6 +394,14 @@ def test_only_ascii_digits_are_numbers(capsys, expr, offset, char):
     assert f"syntax error at offset {offset}: expected a token, found {char!r}" in err
 
 
+def test_error_offsets_count_characters_not_bytes(capsys):
+    # each no-break space is one character and two UTF-8 bytes: the '+' is at offset 2, byte 4
+    expr = "\u00a0\u00a0+"
+    assert len(expr[:2].encode()) == 4
+    assert main(["normalize", "--order", "2", expr]) == 2
+    assert "syntax error at offset 2: expected " in capsys.readouterr().err
+
+
 @contextlib.contextmanager
 def _closed_pipe():
     """The write end of a pipe whose read end is already closed."""

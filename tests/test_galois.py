@@ -205,15 +205,43 @@ def test_graded_q_leibniz_rule():
 
 
 def test_phi_iterates_to_identity():
+    """phi(u, k) is k applications of phi, phi(., -k) undoes it, and phi**N = id."""
     rng = random.Random(31)
     for order in (2, 3, 6):
-        c = XPolyCarrier(order)
-        for _ in range(10):
-            u = rand_xpoly(rng, order, span=6)
-            w = u
-            for _ in range(order):
-                w = c.phi(w)
-            assert w == u
+        for sign in (1, -1):
+            c = XPolyCarrier(order, sign)
+            for _ in range(10):
+                u = XPoly(order, rand_xpoly(rng, order, span=6).coeffs, sign)
+                w = u
+                for k in range(2 * order + 1):
+                    assert c.phi(u, k) == w
+                    assert c.phi(c.phi(u, k), -k) == u
+                    w = c.phi(w)
+                assert c.phi(u, order) == u
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("order", range(2, 9))
+def test_differential_is_a_weighted_shift(order, sign):
+    """d(tau^k x^l) = (1 - q^(k+l)) tau^(k+1) x^l, and rank d^m = N(N - m).
+
+    d sends distinct monomials to multiples of distinct monomials, so d^m has
+    rank the number of monomials it keeps nonzero; N(N - m) of them gives
+    dim ker d^m = N m = rank d^(N-m), so every H_(m) = ker d^m / im d^(N-m) is 0.
+    """
+    c = XPolyCarrier(order, sign)
+    nonzero = [0] * (order + 1)  # nonzero[m]: monomials with d^m of them nonzero
+    for k in range(order):
+        for l in range(order):
+            xi = ExtElement.from_component(c, k, XPoly.monomial(order, l, 1, sign))
+            weight = 1 - CycScalar.q_power(order, k + l)
+            assert differential(xi) == ExtElement.from_component(
+                c, k + 1, XPoly.monomial(order, l, weight, sign)
+            )
+            for m in range(order + 1):
+                nonzero[m] += bool(xi)
+                xi = differential(xi)
+    assert nonzero == [order * (order - m) for m in range(order + 1)]
 
 
 def test_delta_reference_values_and_product_rule():

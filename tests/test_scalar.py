@@ -183,6 +183,11 @@ def test_q_factorial_values():
     assert q_factorial(3, 4) == CycScalar.from_poly(4, [-1, 1])
 
 
+def test_q_factorial_rejects_a_negative_k():
+    with pytest.raises(ValueError, match="k must be nonnegative"):
+        q_factorial(-3, 5)
+
+
 @pytest.mark.parametrize("order", range(2, 9))
 def test_q_factorial_times_power_of_one_minus_q(order):
     """[N-1]_q! (1-q)^(N-1) = prod(1 - q^j) = N, the value of 1+t+...+t^(N-1) at t=1."""

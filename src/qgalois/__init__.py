@@ -6,7 +6,7 @@ tau**N = s: the reduced quantum plane at a primitive N-th root of unity
 line (s = -1, N = 2, tau = i, x = j, q = -1).
 """
 
-from .cyclotomic import CycScalar, Rational, cyclotomic_polynomial, q_factorial, q_integer
+from .cyclotomic import CycScalar, cyclotomic_polynomial, q_factorial, q_integer
 from .galois import (
     Coordinate,
     ExtElement,
@@ -61,7 +61,6 @@ __all__ = [
     "NotInvertible",
     "PlaneElement",
     "PolyFamilies",
-    "Rational",
     "RepMatrix",
     "XPoly",
     "XPolyCarrier",

@@ -13,9 +13,11 @@ Expression grammar (whitespace is free):
 the order that evaluates it; ``evaluate(expr, order)`` calls it.  Nothing is
 evaluated before the source has parsed, so a syntax error wins over an
 evaluation error.  Rationals are written as ``7`` or ``7/3``; parentheses,
-unary minus and calls nest at most 100 deep.  Exit codes: 0 success, 1 a
-verify run found a failing identity, 2 usage, parse, or evaluation errors, and
-output that cannot be written (a full disk, a closed pipe).
+unary minus and calls nest at most 100 deep.  ``--order`` lies in 2..8 and
+``verify --cases`` in 1..1000; a value outside either is a usage error.
+Exit codes: 0 success, 1 a verify run found a failing identity, 2 usage,
+parse, or evaluation errors, and output that cannot be written (a full disk,
+a closed pipe).
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ from .verify import run_all
 
 # Every command's largest --order: the largest the tests and benchmark use; cost grows fast past it.
 MAX_ORDER = 8
+# verify's largest --cases: a case costs about 0.13 s CPU at order 8, so a run ends within minutes.
+MAX_CASES = 1000
 # Parentheses, unary minus and calls nest at most this deep, far inside the recursion limit.
 MAX_NESTING = 100
 
@@ -523,8 +527,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if not 2 <= args.order <= MAX_ORDER:
         parser.error(f"--order must lie in 2..{MAX_ORDER}")
-    if args.fn is cmd_verify and args.cases < 1:
-        parser.error("--cases must be at least 1")
+    if args.fn is cmd_verify and not 1 <= args.cases <= MAX_CASES:
+        parser.error(f"--cases must lie in 1..{MAX_CASES}")
     try:
         if sys.stdout is None:  # the process started with stdout closed
             raise OSError("standard output is closed")

@@ -14,8 +14,8 @@ import functools
 import operator
 from fractions import Fraction
 
-Rational = Fraction
-
+# The exact rationals, the only coefficients a scalar takes: a float, str or Decimal is a TypeError.
+_EXACT = (int, Fraction)
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -152,13 +152,13 @@ class CycScalar(Componentwise):
 
     @staticmethod
     def from_poly(order: int, coeffs) -> CycScalar:
-        """Build from an arbitrary-length coefficient list, reducing mod Phi."""
-        return _reduce(order, [Fraction(c) for c in coeffs])
+        """Build from an arbitrary-length list of exact coefficients, reducing mod Phi."""
+        return _reduce(order, [_exact(c) for c in coeffs])
 
     @staticmethod
     def from_rational(order: int, value) -> CycScalar:
         coeffs = [_ZERO] * _residues(order)[0]
-        coeffs[0] = Fraction(value)
+        coeffs[0] = _exact(value)
         return CycScalar(order, tuple(coeffs))
 
     @staticmethod
@@ -188,11 +188,12 @@ class CycScalar(Componentwise):
         return CycScalar(self.order, parts)
 
     def _coerce(self, other) -> "CycScalar | None":
+        """The rule for what a scalar is: a CycScalar of this order, an int or a Fraction."""
         if isinstance(other, CycScalar):
             if other.order != self.order:
                 raise ValueError("order mismatch")
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, _EXACT):
             return CycScalar.from_rational(self.order, other)
         return None
 
@@ -239,10 +240,8 @@ class CycScalar(Componentwise):
         return o * self.inverse()
 
     def __pow__(self, k: int):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return self.inverse() ** (-k)
+        if isinstance(k, int) and k < 0:
+            return self.inverse() ** -k
         return power(self, k, CycScalar.one(self.order))
 
     # -- comparisons and views ----------------------------------------------
@@ -296,6 +295,12 @@ def power(base, k: int, one):
     return out
 
 
+def fold_power(order: int, sign: int, k: int, coeff):
+    """g**k coeff as (k mod N, sign**(k div N) coeff), for a generator g with g**N = sign = +-1."""
+    wraps, k = divmod(k, order)
+    return k, -coeff if wraps % 2 and sign < 0 else coeff
+
+
 def render_terms(terms) -> str:
     """The sum of (coefficient, monomial) terms as text; "0" when every coefficient is zero.
 
@@ -321,6 +326,12 @@ def render_terms(terms) -> str:
         else:
             out += " + " + body
     return out or "0"
+
+
+def _exact(value) -> Fraction:
+    if not isinstance(value, _EXACT):
+        raise TypeError(f"a coefficient must be an int or a Fraction, not {type(value).__name__}")
+    return Fraction(value)
 
 
 def _poly_divmod(a: list[Fraction], b: list[Fraction]):

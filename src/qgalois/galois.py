@@ -26,7 +26,7 @@ from __future__ import annotations
 import operator
 from typing import TYPE_CHECKING
 
-from .cyclotomic import Componentwise, power
+from .cyclotomic import Componentwise, fold_power, power
 
 if TYPE_CHECKING:
     from .qplane import XPolyCarrier
@@ -43,20 +43,15 @@ class NonInvertibleCoordinate(NotInvertible):
 class KForm:
     """A homogeneous element tau**degree * coeff of the extension.
 
-    The constructor folds tau**N = tau_sign: a degree outside 0..N-1 is
-    reduced mod N, and the coefficient changes sign once per wrap when
-    tau_sign is -1.
+    The constructor folds tau**N = tau_sign with ``fold_power``: a degree
+    outside 0..N-1 is reduced mod N.
     """
 
     __slots__ = ("carrier", "degree", "coeff")
 
     def __init__(self, carrier: XPolyCarrier, degree: int, coeff):
-        wraps, degree = divmod(degree, carrier.order)
-        if wraps % 2 and carrier.tau_sign < 0:
-            coeff = -coeff
         self.carrier = carrier
-        self.degree = degree
-        self.coeff = coeff
+        self.degree, self.coeff = fold_power(carrier.order, carrier.tau_sign, degree, coeff)
 
     def __mul__(self, other: KForm) -> KForm:
         """(tau**a u)(tau**b v) = tau**(a+b) phi**b(u) v."""
@@ -74,13 +69,11 @@ class KForm:
         return KForm(c, k + 1, self.coeff - c.phi(self.coeff) * c.q_element(k))
 
     def __eq__(self, other) -> bool:
+        """Equal as extension elements: zero forms of any degrees are equal."""
         if not isinstance(other, KForm):
             return NotImplemented
-        if self.carrier != other.carrier:
-            return False
-        if self.is_zero() and other.is_zero():
-            return True
-        return self.degree == other.degree and self.coeff == other.coeff
+        as_ext = ExtElement.from_forms
+        return as_ext(self.carrier, [self]) == as_ext(other.carrier, [other])
 
     __hash__ = None
 
@@ -180,9 +173,6 @@ class ExtElement(Componentwise):
     def scale_by_q(self, k: int) -> ExtElement:
         """Multiply by the central scalar q**k."""
         return self.scale(self.carrier.q_element(k))
-
-    def is_homogeneous(self) -> bool:
-        return len(self.forms()) <= 1
 
     def degree(self) -> int | None:
         """Degree of a homogeneous element; 0 for zero; None if mixed."""

@@ -19,18 +19,20 @@ import functools
 import operator
 from fractions import Fraction
 
-from .cyclotomic import Componentwise, CycScalar, power, render_terms
+from .cyclotomic import Componentwise, CycScalar, fold_power, power, render_terms
 from .galois import ExtElement, NotInvertible
 
-_SCALARS = (int, Fraction, CycScalar)
+
+def _scalar(order: int, value) -> CycScalar | None:
+    """value as a scalar of this order by ``CycScalar``'s rule; None when it is no scalar."""
+    return CycScalar.zero(order)._coerce(value)
 
 
 def _as_scalar(order: int, value) -> CycScalar:
-    if isinstance(value, CycScalar):
-        if value.order != order:
-            raise ValueError("order mismatch")
-        return value
-    return CycScalar.from_rational(order, value)
+    c = _scalar(order, value)
+    if c is None:
+        raise TypeError(f"a scalar is an int, Fraction or CycScalar, not {type(value).__name__}")
+    return c
 
 
 class XPoly(Componentwise):
@@ -63,10 +65,8 @@ class XPoly(Componentwise):
     def monomial(order: int, power: int, coeff=1, sign: int = 1) -> XPoly:
         """coeff * x**power, with x**N folded to sign."""
         c = [CycScalar.zero(order)] * order
-        coeff = _as_scalar(order, coeff)
-        if sign < 0 and power // order % 2:
-            coeff = -coeff
-        c[power % order] = coeff
+        k, c_k = fold_power(order, sign, power, _as_scalar(order, coeff))
+        c[k] = c_k
         return XPoly(order, c, sign)
 
     @staticmethod
@@ -94,16 +94,14 @@ class XPoly(Componentwise):
             if other.order != self.order or other.sign != self.sign:
                 raise ValueError("order or sign mismatch")
             return other
-        if isinstance(other, _SCALARS):
-            return XPoly.from_scalar(self.order, other, self.sign)
-        return None
+        c = _scalar(self.order, other)
+        return None if c is None else XPoly.from_scalar(self.order, c, self.sign)
 
     def __mul__(self, other):
-        if isinstance(other, _SCALARS):
-            return self.scale(other)
+        if not isinstance(other, XPoly):
+            c = _scalar(self.order, other)
+            return NotImplemented if c is None else self.scale(c)
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
         n = self.order
         out = [CycScalar.zero(n)] * n
         for i, a in enumerate(self.coeffs):
@@ -111,11 +109,8 @@ class XPoly(Componentwise):
                 continue
             for j, b in enumerate(o.coeffs):
                 if b:
-                    k = (i + j) % n
-                    if i + j < n or self.sign > 0:
-                        out[k] = out[k] + a * b
-                    else:  # x**(i+j) = -x**k
-                        out[k] = out[k] - a * b
+                    k, ab = fold_power(n, self.sign, i + j, a * b)
+                    out[k] = out[k] + ab
         return XPoly(n, out, self.sign)
 
     __rmul__ = __mul__
@@ -383,11 +378,9 @@ def represent(w: PlaneElement) -> RepMatrix:
 
     Y**k X**l has the single entry q**(-j l) in column j, row j - k, so the
     image of w = sum_k y**k u_k(x) has entry (i, j) = u_(j-i)(q**-j): the
-    components evaluated at the roots of x**N - 1.  Raises ValueError at
-    tau**N = x**N = -1, where this formula does not hold.
+    components evaluated at the roots of x**N - 1.  At tau**N = x**N = -1,
+    where this formula does not hold, the evaluation raises ValueError.
     """
-    if w.carrier.tau_sign < 0:
-        raise ValueError("represent needs tau**N = x**N = 1")
     n = w.carrier.order
     rows = (map(w.component, range(-i, n - i)) for i in range(n))  # u_(j-i) in column j
     roots = range(0, -n, -1)  # column j evaluates at q**-j

@@ -65,10 +65,10 @@ def _rand_scalar(rng: random.Random, order: int) -> CycScalar:
     )
 
 
-def _rand_xpoly(rng: random.Random, carrier: XPolyCarrier, terms: int = 2) -> XPoly:
+def _rand_xpoly(rng: random.Random, carrier: XPolyCarrier) -> XPoly:
     n = carrier.order
     acc = carrier.zero()
-    for _ in range(terms):
+    for _ in range(2):
         acc = acc + XPoly.monomial(n, rng.randrange(n), _rand_scalar(rng, n), carrier.tau_sign)
     return acc
 
@@ -84,10 +84,10 @@ def _rand_invertible(rng: random.Random, carrier: XPolyCarrier, invert):
             continue
 
 
-def _rand_ext(rng: random.Random, carrier: XPolyCarrier, live: int = 2) -> ExtElement:
+def _rand_ext(rng: random.Random, carrier: XPolyCarrier) -> ExtElement:
     n = carrier.order
     comps = [carrier.zero()] * n
-    for _ in range(live):
+    for _ in range(2):
         comps[rng.randrange(n)] = _rand_xpoly(rng, carrier)
     return carrier.element(comps)
 
@@ -308,13 +308,11 @@ def qplane_suite(order: int, rng: random.Random, cases: int) -> list[CheckResult
     def delta_q_props():
         for _ in range(cases):
             w, w2 = _rand_xpoly(rng, carrier), _rand_xpoly(rng, carrier)
-            dq = lambda r: r - r.twist(1)
-            yield dq(w * w2) - (dq(w) * w2 + w.twist(1) * dq(w2))
+            lhs = delta(carrier, w * w2)
+            yield lhs - (delta(carrier, w) * w2 + w.twist(1) * delta(carrier, w2))
         for k in range(n):
             mono = XPoly.monomial(n, k)
-            yield (mono - mono.twist(1)) - mono.scale(
-                (CycScalar.one(n) - q) * q_integer(k, n)
-            )
+            yield delta(carrier, mono) - mono.scale((CycScalar.one(n) - q) * q_integer(k, n))
 
     out.append(_all_zero("qplane.delta_q_rules", delta_q_props()))
 
@@ -322,7 +320,7 @@ def qplane_suite(order: int, rng: random.Random, cases: int) -> list[CheckResult
         for _ in range(cases):
             w = _rand_xpoly(rng, carrier)
             lhs = differential(ExtElement.embed(carrier, w))
-            rhs = ExtElement.from_component(carrier, 1, w - w.twist(1))
+            rhs = ExtElement.from_component(carrier, 1, delta(carrier, w))
             yield lhs - rhs
 
     out.append(_all_zero("qplane.differential_of_function", carrier_diff()))

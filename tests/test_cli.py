@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgalois import CycScalar, ExtElement, PlaneElement, differential
+from qgalois import cli
 from qgalois.calculus import covariant_operator, partial_derivative, q_plane_families
 from qgalois.cli import EvalError, ParseError, element_json, evaluate, main, parse
 
@@ -205,6 +206,17 @@ def test_main_rejects_case_counts_below_one():
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--order", "2", "--cases", cases])
         assert exc.value.code == 2
+
+
+def test_main_rejects_case_counts_above_the_bound(capsys, monkeypatch):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--order", "2", "--cases", "1001"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith("error: --cases must lie in 1..1000")
+    runs = []
+    monkeypatch.setattr(cli, "run_all", lambda order, seed, cases: runs.append(cases) or [])
+    assert main(["verify", "--order", "2", "--cases", "1000"]) == 0
+    assert runs == [1000]
 
 
 def test_main_matrix_text(capsys):

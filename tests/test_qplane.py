@@ -1,6 +1,7 @@
 """Reduced quantum plane: normal forms, grading, inversion, matrix model."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -63,7 +64,7 @@ def test_grading():
     order = 3
     x, y = PlaneElement.x(order), PlaneElement.y(order)
     w = y ** 2 * x
-    assert w.is_homogeneous()
+    assert w.degree() is not None
     assert w.degree() == 2
     assert (w + x).degree() is None
     assert PlaneElement.zero(order).degree() == 0
@@ -637,3 +638,56 @@ def test_rep_matrix_operands():
     for op in (lambda: m + 1, lambda: 1 + m, lambda: m - 1, lambda: m * 2):
         with pytest.raises(TypeError):
             op()
+
+
+@pytest.mark.parametrize("order", range(2, 6))
+def test_monomial_folds_x_to_the_n_at_sign_minus_one(order):
+    """x**k folds x**N = -1 once per wrap, for k past N and below 0."""
+    c = CycScalar.from_poly(order, (Fraction(1, 2), -3))
+    x = XPoly.x(order, -1)
+    for k in range(3 * order + 1):
+        assert XPoly.monomial(order, k, c, -1) == c * x ** k, k
+        expected = [0] * order
+        expected[k % order] = -c if k // order % 2 else c
+        assert XPoly.monomial(order, k, c, -1) == XPoly(order, expected, -1), k
+    x_inv = x.inverse()
+    for k in range(-order, 0):
+        assert XPoly.monomial(order, k, c, -1) == c * x_inv ** -k, k
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_represent_refuses_every_element_at_sign_minus_one(order):
+    """The evaluation at q**j raises, also for zero components."""
+    c = XPolyCarrier(order, -1)
+    for w in (ExtElement.zero(c), ExtElement.one(c), tau(c)):
+        with pytest.raises(ValueError):
+            represent(w)
+
+
+# -- the scalar rule: ints, Fractions and CycScalars; nothing inexact -------------------
+
+ENTRY_POINTS = {
+    "XPoly": lambda v: XPoly(3, (1, v, 0)),
+    "XPoly.monomial": lambda v: XPoly.monomial(3, 4, v, -1),
+    "XPoly.from_scalar": lambda v: XPoly.from_scalar(3, v),
+    "XPoly.scale": lambda v: XPoly.x(3).scale(v),
+    "PlaneElement": lambda v: PlaneElement(3, [(0, v, 0), (0, 0, 0), (1, 0, 0)]),
+    "PlaneElement.monomial": lambda v: PlaneElement.monomial(3, 1, 2, v),
+    "PlaneElement.from_scalar": lambda v: PlaneElement.from_scalar(3, v),
+    "RepMatrix.scale": lambda v: RepMatrix.identity(3).scale(v),
+}
+
+
+@pytest.mark.parametrize("value", [0.1, "1/10", Decimal("0.1")], ids=["float", "str", "Decimal"])
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_entry_points_refuse_inexact_scalars(entry, value):
+    with pytest.raises(TypeError):
+        ENTRY_POINTS[entry](value)
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_entry_points_take_ints_fractions_and_scalars(entry):
+    build = ENTRY_POINTS[entry]
+    for value in (-2, Fraction(3, 4)):
+        assert build(value) == build(CycScalar.from_rational(3, value))
+    assert build(CycScalar.q(3)) != build(1)

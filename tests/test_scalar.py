@@ -1,6 +1,7 @@
 """Cyclotomic scalars: canonical reduction, field structure, q-combinatorics."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -119,6 +120,33 @@ def test_division_and_negative_powers():
     assert (1 / q) == q ** 4
     assert q ** -2 == q ** 3
     assert (q ** 2 / q ** 2) == 1
+
+
+def test_a_non_int_exponent_is_a_type_error():
+    q = CycScalar.q(5)
+    for k in (0.5, 2.0, Fraction(1, 2), "2"):
+        with pytest.raises(TypeError):
+            q ** k
+
+
+INEXACT = [0.5, "1/2", Decimal("0.5")]
+
+
+@pytest.mark.parametrize("value", INEXACT, ids=["float", "str", "Decimal"])
+def test_scalar_constructors_refuse_inexact_coefficients(value):
+    with pytest.raises(TypeError):
+        CycScalar.from_rational(3, value)
+    with pytest.raises(TypeError):
+        CycScalar.from_poly(3, [1, value])
+    with pytest.raises(TypeError):
+        CycScalar.from_poly(3, [0, 0, 0, value])  # a coefficient that folds is checked too
+
+
+def test_scalar_constructors_take_ints_and_fractions():
+    half = Fraction(1, 2)
+    assert CycScalar.from_rational(3, half).coeffs == (half, 0)
+    assert CycScalar.from_rational(3, True) == CycScalar.one(3)
+    assert CycScalar.from_poly(3, [2, half]) == 2 + half * CycScalar.q(3)
 
 
 def test_order_mismatch_is_an_error():

@@ -156,8 +156,7 @@ def partial_derivative(r: XPoly) -> XPoly:
     q-power rule partial(x**k) = [k]_q x**(k-1).
     """
     n = r.order
-    dq = r - r.twist(1)
-    return XPoly.monomial(n, n - 1, _one_minus_q_inverse(n)) * dq
+    return XPoly.monomial(n, n - 1, _one_minus_q_inverse(n)) * delta(XPolyCarrier(n), r)
 
 
 def higher_delta(k: int, r: XPoly) -> XPoly:

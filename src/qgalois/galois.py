@@ -16,9 +16,10 @@ module reads from it ``order`` (N), ``tau_sign`` (s), ``zero()``, ``one()``,
 ``phi(u, k=1)`` (phi**k, any integer k), ``invert(u)`` (raises NotInvertible
 when there is no inverse), ``q_element(k)`` (the scalar q**k, acting through
 ``u * q_element(k)``), ``element(components)``, which builds every extension
-element, and ``lift(value)``, an operand that is no extension element as one,
-or None.  Carrier elements bring ``+ - * ==``, unary minus and a truth value
-that is false only at zero.
+element, ``coerce(value)``, a component or coefficient as a carrier element
+(a TypeError or ValueError when it is none), and ``lift(value)``, an operand
+that is no extension element as one, or None.  Carrier elements bring
+``+ - * ==``, unary minus and a truth value that is false only at zero.
 """
 
 from __future__ import annotations
@@ -43,14 +44,15 @@ class NonInvertibleCoordinate(NotInvertible):
 class KForm:
     """A homogeneous element tau**degree * coeff of the extension.
 
-    The constructor folds tau**N = tau_sign with ``fold_power``: a degree
-    outside 0..N-1 is reduced mod N.
+    The constructor coerces coeff through the carrier and folds tau**N =
+    tau_sign with ``fold_power``: a degree outside 0..N-1 is reduced mod N.
     """
 
     __slots__ = ("carrier", "degree", "coeff")
 
     def __init__(self, carrier: XPolyCarrier, degree: int, coeff):
         self.carrier = carrier
+        coeff = carrier.coerce(coeff)
         self.degree, self.coeff = fold_power(carrier.order, carrier.tau_sign, degree, coeff)
 
     def __mul__(self, other: KForm) -> KForm:
@@ -85,12 +87,12 @@ class KForm:
 
 
 class ExtElement(Componentwise):
-    """An element sum_k tau**k u_k of the extension, stored by components."""
+    """An element sum_k tau**k u_k, stored by its components coerced through the carrier."""
 
     __slots__ = ("carrier", "components")
 
     def __init__(self, carrier: XPolyCarrier, components):
-        components = tuple(components)
+        components = tuple(map(carrier.coerce, components))
         if len(components) != carrier.order:
             raise ValueError("component count must equal the grading order")
         self.carrier = carrier

@@ -218,6 +218,18 @@ class XPolyCarrier:
             return ExtElement(self, components)
         return PlaneElement(self.order, components)
 
+    def coerce(self, value) -> XPoly:
+        """value as an element of this carrier, a scalar as a constant.
+
+        Raises TypeError for no scalar or ``XPoly``, ValueError for another order or sign.
+        """
+        if type(value) is XPoly and value.order == self.order and value.sign == self.tau_sign:
+            return value
+        u = self.zero()._coerce(value)
+        if u is None:
+            raise TypeError(f"a carrier element is an XPoly or scalar, not {type(value).__name__}")
+        return u
+
     def lift(self, value) -> ExtElement | None:
         """A scalar or an ``XPoly`` of this order and sign, embedded as the tau**0 component."""
         u = self.zero()._coerce(value)
@@ -252,9 +264,7 @@ class PlaneElement(ExtElement):
     __slots__ = ()
 
     def __init__(self, order: int, rows):
-        rows = tuple(r if isinstance(r, XPoly) else XPoly(order, r) for r in rows)
-        if any(r.order != order or r.sign != 1 for r in rows):
-            raise ValueError("rows must be x-polynomials of this order with x**N = 1")
+        rows = (r if isinstance(r, XPoly) else XPoly(order, r) for r in rows)
         super().__init__(XPolyCarrier(order), rows)
 
     @property
@@ -308,7 +318,7 @@ class PlaneElement(ExtElement):
 
 
 class RepMatrix(Componentwise):
-    """An N x N matrix over Q(q); its parts are the entries row by row."""
+    """An N x N matrix over Q(q), entries by the scalar rule; its parts are the entries by row."""
 
     __slots__ = ("order", "entries")
 
@@ -316,6 +326,9 @@ class RepMatrix(Componentwise):
         entries = tuple(tuple(row) for row in entries)
         if len(entries) != order or any(len(row) != order for row in entries):
             raise ValueError("matrix must be N x N")
+        if any(type(e) is not CycScalar or e.order != order for row in entries for e in row):
+            scalar = functools.partial(_as_scalar, order)
+            entries = tuple(tuple(map(scalar, row)) for row in entries)
         self.order = order
         self.entries = entries
 

@@ -15,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgalois import CycScalar, ExtElement, PlaneElement, differential
-from qgalois import cli
+from qgalois import cli, verify
 from qgalois.calculus import covariant_operator, partial_derivative, q_plane_families
-from qgalois.cli import EvalError, ParseError, element_json, evaluate, main, parse
+from qgalois.cli import EvalError, ParseError, element_json, evaluate, main, parse, xpoly_json
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -297,6 +297,16 @@ def test_int_string_digit_limit_is_a_user_error(expr, message):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("flags,tail", [([], ""), (["--json"], "*x")], ids=["text", "json"])
+def test_a_result_too_long_to_print_is_a_user_error(flags, tail):
+    """The operands are within the digit limit; only printing their product is not."""
+    nines = "9" * 3000
+    proc = run_cli("normalize", "--order", "2", *flags, f"{nines}*{nines}{tail}")
+    limit = sys.get_int_max_str_digits()
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: result has an integer over {limit} digits, too many to print\n"
+
+
 def test_float_overflow_in_approx_is_a_user_error(capsys):
     for extra in ([], ["--json"]):
         assert main(["matrix", "--order", "3", "--approx", *extra, "2^2000"]) == 2
@@ -382,6 +392,68 @@ def test_json_goldens_are_byte_exact(golden, args):
     assert proc.returncode == 0
     assert proc.stdout == (GOLDEN_DIR / golden).read_text()
     json.loads(proc.stdout)  # stays well-formed
+
+
+BROKEN_ROWS = (
+    "galois.differential_is_commutator",
+    "galois.delta_product_rule",
+    "quaternion.multiplication_table",
+)
+
+
+def _break_commutator(monkeypatch):
+    monkeypatch.setattr(verify, "q_commutator", lambda v, u: ExtElement.zero(u.carrier))
+
+
+def _break_delta(monkeypatch):
+    monkeypatch.setattr(verify, "delta", lambda carrier, u: u)
+
+
+def test_verify_reports_each_failing_identity(capsys, monkeypatch):
+    _break_commutator(monkeypatch)
+    _break_delta(monkeypatch)
+    monkeypatch.setitem(verify._QUAT_TABLE, (1, 1), (1, 0))  # i*i = +1
+    args = ["verify", "--order", "2", "--cases", "2"]
+    assert main(args) == 1
+    lines = capsys.readouterr().out.splitlines()
+    for name in BROKEN_ROWS:
+        assert any(line.startswith(f"[FAIL] {name}  residual: ") for line in lines), name
+    held = sum(line.startswith("[ok  ] ") for line in lines)
+    assert len(lines) == 47 and lines[-1] == f"{held}/46 identities hold"
+
+    assert main([*args, "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    rows = {row["identity"]: row for row in report["results"]}
+    assert report["pass"] is False
+    assert not any(rows[name]["pass"] for name in BROKEN_ROWS)
+    assert sum(row["pass"] for row in rows.values()) == held
+    residual = {r.name: r.residual for r in verify.run_all(2, 0, 2)}
+    commutator = residual["galois.differential_is_commutator"]
+    assert isinstance(commutator, PlaneElement)
+    assert rows["galois.differential_is_commutator"]["residual"] == element_json(commutator)
+    product_rule = residual["galois.delta_product_rule"]
+    assert rows["galois.delta_product_rule"]["residual"] == {
+        "order": 2,
+        "coeffs": [xpoly_json(product_rule)],
+    }
+    assert rows["quaternion.multiplication_table"]["residual"] == "(1, 1)"
+
+
+def test_one_failing_identity_leaves_the_other_rows_alone(capsys, monkeypatch):
+    """Each row draws its own operands, so breaking one changes no other row."""
+
+    def report():
+        assert main(["verify", "--order", "2", "--cases", "2", "--json"]) == 1
+        results = json.loads(capsys.readouterr().out)["results"]
+        return {row.pop("identity"): row for row in results}
+
+    _break_delta(monkeypatch)
+    before = report()
+    _break_commutator(monkeypatch)
+    after = report()
+    name = "galois.differential_is_commutator"
+    assert before.pop(name)["pass"] and not after.pop(name)["pass"]
+    assert after == before
 
 
 def test_verify_output_is_deterministic():

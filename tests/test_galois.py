@@ -24,8 +24,10 @@ from qgalois import (
     conjugation_dx,
     delta,
     differential,
+    from_dx_basis,
     from_quaternion,
     q_commutator,
+    q_plane_families,
     right_derivative,
     tau,
     verify,
@@ -82,6 +84,24 @@ def test_kform_equality_is_the_extensions():
     assert KForm(c, 1, c.x()) != KForm(other, 1, other.x())
     assert KForm(c, 0, c.zero()) != KForm(signed, 0, signed.zero())
     assert KForm(c, 0, c.one()) != 1
+
+
+def test_components_and_coefficients_are_coerced_through_the_carrier():
+    """A scalar lifts to a constant; an element of another order or sign is refused."""
+    signed = XPolyCarrier(2, -1)
+    half = ExtElement(signed, [Fraction(1, 2), 1])
+    assert [type(u) for u in (half + half).components] == [XPoly, XPoly]
+    assert half + half == ExtElement(signed, [XPoly(2, (1, 0), -1), XPoly(2, (2, 0), -1)])
+    with pytest.raises(ValueError):
+        ExtElement(XPolyCarrier(2), [XPoly(2, (1, 0), -1), XPoly(2, (0, 1), -1)])
+    with pytest.raises(ValueError):
+        ExtElement(XPolyCarrier(3), [XPoly(2, (1, 0))] * 3)
+    with pytest.raises(ValueError):
+        KForm(XPolyCarrier(3), 1, XPoly(3, (0, 1, 0), -1))
+    fam = q_plane_families(3)
+    c = fam.carrier
+    assert from_dx_basis(fam, 0, 3).differential().is_zero()
+    assert KForm(c, 1, 2) * KForm(c, 1, c.x()) == KForm(c, 2, c.x().scale(2))
 
 
 def test_scale_uses_only_the_carrier_product():
@@ -436,8 +456,8 @@ def test_derivatives_along_a_coordinate_invert_nothing(monkeypatch):
 
 
 def _count_inversions(monkeypatch, suite, order, cases):
-    """Run suite(order, rng, cases) and return (XPoly.inverse arguments,
-    sampler attempts, rows); an attempt is one call of the sampler's invert."""
+    """Run suite(order or its carrier, seed, cases) and return (XPoly.inverse
+    arguments, sampler attempts, rows); an attempt is one call of the sampler's invert."""
     inverted, attempts = [], []
     inverse = XPoly.inverse
 
@@ -456,7 +476,8 @@ def _count_inversions(monkeypatch, suite, order, cases):
 
     monkeypatch.setattr(XPoly, "inverse", counted_inverse)
     monkeypatch.setattr(verify, "_rand_invertible", counted_sampler)
-    rows = suite(order, random.Random(1000 + order), cases)
+    first = XPolyCarrier(order) if suite is verify.galois_suite else order
+    rows = suite(first, 1000 + order, cases)
     monkeypatch.undo()
     return inverted, attempts, rows
 

@@ -9,18 +9,18 @@ import pytest
 from qgalois import (
     CycScalar,
     ExtElement,
+    KForm,
     NotInvertible,
     PlaneElement,
     RepMatrix,
     XPoly,
     XPolyCarrier,
     build_families,
-    differential,
     generator_matrices,
     identity_check,
-    q_commutator,
     represent,
     tau,
+    verify,
 )
 from qgalois.quaternion import QUAT_I
 from qgalois.qplane import basis_matrices, scalar_rank
@@ -542,21 +542,8 @@ def test_signed_carrier_identities(order):
     one, t, x = ExtElement.one(c), tau(c), ExtElement.embed(c, c.x())
     assert c.x() ** order == -c.one() and x ** order == -one and t ** order == -one
     assert x * t == (t * x).scale_by_q(1)
-
-    def sample():
-        return ExtElement(c, [rand_signed_xpoly(rng, order) for _ in range(order)])
-
-    for _ in range(2):
-        a, b, w = sample(), sample(), sample()
-        assert (a * b) * w == a * (b * w)
-        assert differential(a) == q_commutator(t, a)
-        dn = a
-        for _ in range(order):
-            dn = differential(dn)
-        assert dn.is_zero()
-        k = rng.randrange(order)
-        u = ExtElement.from_component(c, k, rand_signed_xpoly(rng, order))
-        assert differential(u * b) == differential(u) * b + (u * differential(b)).scale_by_q(k)
+    rows = verify.galois_suite(c, 300 + order, 3)
+    assert len(rows) == 10 and all(rows), [r.name for r in rows if not r]
     assert all(identity_check(build_families(c, c.x())))
 
     units = 0
@@ -675,6 +662,9 @@ ENTRY_POINTS = {
     "PlaneElement.monomial": lambda v: PlaneElement.monomial(3, 1, 2, v),
     "PlaneElement.from_scalar": lambda v: PlaneElement.from_scalar(3, v),
     "RepMatrix.scale": lambda v: RepMatrix.identity(3).scale(v),
+    "RepMatrix": lambda v: RepMatrix(3, [(1, 0, 0), (0, v, 0), (0, 0, 1)]),
+    "ExtElement": lambda v: ExtElement(XPolyCarrier(3, -1), [0, v, 1]),
+    "KForm": lambda v: KForm(XPolyCarrier(3), 2, v),
 }
 
 

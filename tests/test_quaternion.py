@@ -19,6 +19,7 @@ from qgalois import (
     right_derivative,
     second_right_derivative,
     to_quaternion,
+    verify,
     XPoly,
 )
 from qgalois.quaternion import CARRIER, QUAT_I, QUAT_J, QUAT_K, QUAT_ONE
@@ -152,6 +153,12 @@ def test_dx_basis_folds_tau_squared_to_minus_one():
     assert dx_squared == dx * dx
     assert dx_squared.degree == 0
     assert to_quaternion(ExtElement.from_forms(CARRIER, [dx_squared])) == (-4, 0, 0, 0)
+
+
+def test_the_galois_identities_hold_on_the_quaternions():
+    """The galois suite at N = 2, s = -1; test_qplane.py runs it at N = 3..8."""
+    rows = verify.galois_suite(CARRIER, 302, 3)
+    assert len(rows) == 10 and all(rows), [r.name for r in rows if not r]
 
 
 def test_quaternion_powers():

@@ -16,10 +16,12 @@ module reads from it ``order`` (N), ``tau_sign`` (s), ``zero()``, ``one()``,
 ``phi(u, k=1)`` (phi**k, any integer k), ``invert(u)`` (raises NotInvertible
 when there is no inverse), ``q_element(k)`` (the scalar q**k, acting through
 ``u * q_element(k)``), ``element(components)``, which builds every extension
-element, ``coerce(value)``, a component or coefficient as a carrier element
-(a TypeError or ValueError when it is none), and ``lift(value)``, an operand
-that is no extension element as one, or None.  Carrier elements bring
-``+ - * ==``, unary minus and a truth value that is false only at zero.
+element, and ``coerce(value)``, a component, coefficient, coordinate or
+operand as a carrier element (a TypeError or ValueError when it is none; an
+operand is embedded as the tau**0 component).  ``verify``'s galois suite also
+reads ``basis()``, a basis over the scalars Q(q), and nothing else.  Carrier
+elements bring ``+ - * ==`` (also times a scalar), unary minus and a truth
+value that is false only at zero.
 """
 
 from __future__ import annotations
@@ -141,11 +143,14 @@ class ExtElement(Componentwise):
         return self.carrier.element(parts)
 
     def _coerce(self, other) -> ExtElement | None:
-        """An extension element over this carrier, else the carrier's lift of other."""
+        """other over this carrier: an extension element, or embedded by ``coerce``; else None."""
         if isinstance(other, ExtElement):
             self._check(other)
             return other
-        return self.carrier.lift(other)
+        try:
+            return ExtElement.embed(self.carrier, self.carrier.coerce(other))
+        except TypeError:
+            return None
 
     def forms(self) -> list[KForm]:
         """The nonzero homogeneous components, in increasing degree."""
@@ -234,6 +239,7 @@ class Coordinate:
     __slots__ = ("carrier", "x", "delta_x", "delta_inv")
 
     def __init__(self, carrier: XPolyCarrier, x):
+        x = carrier.coerce(x)
         dx = delta(carrier, x)
         try:
             inv = carrier.invert(dx)

@@ -189,6 +189,7 @@ class XPolyCarrier:
     """
 
     def __init__(self, order: int, tau_sign: int = 1):
+        order = operator.index(order)
         if order < 2:
             raise ValueError("order must be at least 2")
         if tau_sign not in (1, -1):
@@ -230,13 +231,13 @@ class XPolyCarrier:
             raise TypeError(f"a carrier element is an XPoly or scalar, not {type(value).__name__}")
         return u
 
-    def lift(self, value) -> ExtElement | None:
-        """A scalar or an ``XPoly`` of this order and sign, embedded as the tau**0 component."""
-        u = self.zero()._coerce(value)
-        return None if u is None else ExtElement.embed(self, u)
+    @functools.lru_cache(maxsize=None)
+    def basis(self) -> tuple[XPoly, ...]:
+        """x**0 .. x**(N-1), a basis over the scalars Q(q); built once per order and sign."""
+        return tuple(XPoly.monomial(self.order, l, 1, self.tau_sign) for l in range(self.order))
 
     def x(self) -> XPoly:
-        return XPoly.x(self.order, self.tau_sign)
+        return self.basis()[1]
 
     def __eq__(self, other):
         return (
@@ -256,15 +257,19 @@ class PlaneElement(ExtElement):
     """sum_k y**k u_k(x): the extension over the x-subalgebra with tau = y.
 
     Component k is the coefficient of y**k; it may be given as an ``XPoly`` of
-    this order with x**N = 1 or as the N scalar coefficients of x**0 ..
-    x**(N-1).  The arithmetic is the extension's, which lifts scalar and
-    ``XPoly`` operands through the carrier.
+    this order with x**N = 1, as a scalar (which the carrier's ``coerce`` makes
+    a constant) or as the N scalar coefficients of x**0 .. x**(N-1).  The
+    arithmetic is the extension's, which lifts scalar and ``XPoly`` operands
+    through the carrier.
     """
 
     __slots__ = ()
 
     def __init__(self, order: int, rows):
-        rows = (r if isinstance(r, XPoly) else XPoly(order, r) for r in rows)
+        rows = (
+            r if isinstance(r, XPoly) or _scalar(order, r) is not None else XPoly(order, r)
+            for r in rows
+        )
         super().__init__(XPolyCarrier(order), rows)
 
     @property

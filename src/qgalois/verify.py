@@ -70,11 +70,10 @@ def _rand_scalar(rng: random.Random, order: int) -> CycScalar:
 
 
 def _rand_xpoly(rng: random.Random, carrier: XPolyCarrier) -> XPoly:
-    n = carrier.order
-    acc = carrier.zero()
-    for _ in range(2):
-        acc = acc + XPoly.monomial(n, rng.randrange(n), _rand_scalar(rng, n), carrier.tau_sign)
-    return acc
+    """The sum of two random basis elements of the carrier, each times a random scalar."""
+    b = carrier.basis()
+    u, v = (b[rng.randrange(len(b))] * _rand_scalar(rng, carrier.order) for _ in range(2))
+    return u + v
 
 
 def _rand_invertible(rng: random.Random, carrier: XPolyCarrier, invert):
@@ -214,7 +213,7 @@ def scalar_suite(order: int, seed: int, cases: int) -> list[CheckResult]:
 def galois_suite(carrier: XPolyCarrier, seed: int, cases: int) -> list[CheckResult]:
     n = carrier.order
     t = tau(carrier)
-    x = Coordinate(carrier, carrier.x())
+    x = Coordinate(carrier, carrier.basis()[1])
     d_dx, conj = functools.partial(right_derivative, x=x), functools.partial(conjugation_dx, x=x)
     delta_c = functools.partial(delta, carrier)
 

@@ -20,6 +20,7 @@ from qgalois import (
     PlaneElement,
     XPoly,
     XPolyCarrier,
+    build_families,
     change_of_variable,
     conjugation_dx,
     delta,
@@ -445,6 +446,22 @@ def test_non_invertible_coordinates_raise_at_construction():
         Coordinate(c, x + x * x)
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_coordinate_is_coerced_through_the_carrier(sign):
+    c = XPolyCarrier(3, sign)
+    # a scalar is a constant, whose Delta is 0
+    for constant in (1, Fraction(5, 2), CycScalar.q(3)):
+        with pytest.raises(NonInvertibleCoordinate):
+            Coordinate(c, constant)
+        with pytest.raises(NonInvertibleCoordinate):
+            build_families(c, constant)
+    for inexact in (1.5, "x", [0, 1, 0]):
+        with pytest.raises(TypeError):
+            Coordinate(c, inexact)
+    with pytest.raises(ValueError):
+        Coordinate(c, XPoly.x(3, -sign))
+
+
 def test_derivatives_along_a_coordinate_invert_nothing(monkeypatch):
     c = XPolyCarrier(4)
     cx = Coordinate(c, c.x())
@@ -522,7 +539,7 @@ def test_plain_extension_lifts_operands_like_its_plane_twin(other):
     ):
         assert op(plain, other) == op(plane, other)
     assert plain == plane and (plain == other) == (plane == other)
-    lifted = carrier.lift(other)
+    lifted = ExtElement.embed(carrier, carrier.coerce(other))
     assert lifted == other and other == lifted and lifted.degree() == 0
 
 
@@ -538,11 +555,13 @@ def test_plain_extension_rejects_an_xpoly_of_another_order():
 
 
 def test_the_carrier_lifts_rationals_at_both_signs():
-    # at sign -1 the lift is a plain extension element, not a PlaneElement
-    lifted = CARRIER.lift(1)
+    # operands lift through the carrier's coerce; at sign -1 the lift is a
+    # plain extension element, not a PlaneElement
+    lifted = QUAT_I._coerce(1)
     assert lifted == QUAT_ONE and type(lifted) is ExtElement
-    assert isinstance(XPolyCarrier(3).lift(1), PlaneElement)
-    assert XPolyCarrier(3).lift("x") is None
+    assert isinstance(PlaneElement.x(3)._coerce(1), PlaneElement)
+    assert PlaneElement.x(3)._coerce("x") is None
+    assert not hasattr(XPolyCarrier(3), "lift")
 
 
 # -- componentwise arithmetic, shared by scalars, x-polynomials and extensions ----

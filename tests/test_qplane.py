@@ -593,6 +593,14 @@ def test_evaluation_at_q_powers_refuses_sign_minus_one():
             (x * x).evaluate_at_q_power(j)
 
 
+def test_carrier_order_is_an_integer_of_at_least_two():
+    with pytest.raises(ValueError):
+        XPolyCarrier(1)
+    for inexact in (2.5, 3.0, "3", Fraction(3)):
+        with pytest.raises(TypeError):
+            XPolyCarrier(inexact)
+
+
 def test_plane_element_refuses_a_row_of_another_sign():
     with pytest.raises(ValueError):
         PlaneElement(2, [XPoly.x(2, -1), XPoly.zero(2)])
@@ -601,6 +609,18 @@ def test_plane_element_refuses_a_row_of_another_sign():
 def test_plane_element_refuses_a_row_of_another_order():
     with pytest.raises(ValueError):
         PlaneElement(2, [XPoly.x(3), XPoly.zero(2)])
+
+
+def test_plane_element_takes_a_scalar_row_as_a_constant():
+    assert PlaneElement(2, [3, 0]) == PlaneElement.from_scalar(2, 3)
+    q = CycScalar.q(3)
+    w = PlaneElement(3, [Fraction(1, 2), (0, 1, 0), q])
+    expected = PlaneElement.from_scalar(3, Fraction(1, 2)) + PlaneElement.monomial(3, 1, 1)
+    assert w == expected + PlaneElement.monomial(3, 2, 0, q)
+    with pytest.raises(TypeError):
+        PlaneElement(2, [1.5, 0])
+    with pytest.raises(ValueError):
+        PlaneElement(2, [CycScalar.q(3), 0])
 
 
 @pytest.mark.parametrize("order", [2, 3, 5])

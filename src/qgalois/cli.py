@@ -39,7 +39,6 @@ from .calculus import (
 from .cyclotomic import CycScalar, power
 from .galois import ExtElement, NotInvertible, differential
 from .qplane import PlaneElement, RepMatrix, XPoly, represent
-from .verify import run_all
 
 # Every command's largest --order: the largest the tests and benchmark use; cost grows fast past it.
 MAX_ORDER = 8
@@ -360,6 +359,8 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_all  # here, so that no other command compiles verify
+
     rows = run_all(args.order, seed=args.seed, cases=args.cases)
     all_pass = all(r.passed for r in rows)
     if args.json:

@@ -4,13 +4,15 @@ Working modulo t**N - 1 would introduce zero divisors, so scalars live in
 Q[t] / (Phi_N(t)) with Phi_N the N-th cyclotomic polynomial.  That quotient is
 a field: every nonzero scalar is invertible, and q = [t] has multiplicative
 order exactly N.  Elements are kept in canonical reduced form, a coefficient
-vector over Q of length deg(Phi_N) = euler_phi(N).
+vector over Q of length deg(Phi_N) = euler_phi(N), stored as int numerators
+over one positive denominator in lowest terms (FLINT's ``nf_elem`` layout).
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import math
 import operator
 from fractions import Fraction
 
@@ -57,29 +59,34 @@ def _residues(order: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return deg, tuple(rows)
 
 
-def _reduce(order: int, vec) -> CycScalar:
-    """The scalar sum_m vec[m] t^m, for Fraction coefficients and any length.
+def _reduce(order: int, vec, den: int = 1) -> CycScalar:
+    """The scalar (sum_m vec[m] t^m) / den, for int coefficients of any length and den > 0.
 
     Coefficients below deg Phi_N are kept as they are.  Phi_N divides t^N - 1,
-    so every higher t^m folds through the residue of t^(m mod N).
+    so every higher t^m folds through the residue of t^(m mod N).  The ints
+    and den are then divided by their gcd, so each value has one form.
     """
     deg, rows = _residues(order)
-    acc = list(vec[:deg]) + [_ZERO] * (deg - len(vec))
+    acc = list(vec[:deg]) + [0] * (deg - len(vec))
     for m in range(deg, len(vec)):
         c = vec[m]
         if c:
             for j, rj in enumerate(rows[m % order]):
                 if rj:
                     acc[j] += c * rj
-    return CycScalar(order, tuple(acc))
+    g = math.gcd(den, *acc)
+    out = object.__new__(CycScalar)
+    object.__setattr__(out, "order", order)
+    object.__setattr__(out, "num", tuple(c // g for c in acc) if g != 1 else tuple(acc))
+    object.__setattr__(out, "den", den // g)
+    return out
 
 
 class Componentwise:
     """Sum, difference, equality and the zero test of a vector in a fixed basis.
 
-    Q(q), the x-subalgebra, the extension and the N x N matrices are each a
-    Q(q)-vector space in a fixed basis, where these rules act coefficient by
-    coefficient.  A
+    The x-subalgebra, the extension and the N x N matrices are each a Q(q)-vector
+    space in a fixed basis, where these rules act coefficient by coefficient.  A
     subclass supplies ``_parts``, its coefficient tuple; ``_new(parts)``, the
     element of the same space with those coefficients; and ``_coerce(other)``,
     which returns ``other`` as such an element, None for a foreign operand
@@ -130,20 +137,21 @@ class Componentwise:
         return not self
 
 
-class CycScalar(Componentwise):
+class CycScalar:
     """A scalar in Q(q) with q of multiplicative order ``order``.
 
     ``coeffs`` is the canonical residue mod the cyclotomic polynomial,
-    ascending powers of q, always of length euler_phi(order).
+    ascending powers of q, always of length euler_phi(order), as Fractions in
+    lowest terms.  It is a view of the stored form: the ints ``num`` over the
+    positive int ``den``, with no common factor.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "num", "den")
 
-    def __init__(self, order: int, coeffs: tuple[Fraction, ...]):
+    def __new__(cls, order: int, coeffs):
         if len(coeffs) != _residues(order)[0]:
             raise ValueError("coefficient vector has wrong length")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", coeffs)
+        return _reduce(order, *_integral(coeffs))
 
     def __setattr__(self, *_):
         raise AttributeError("CycScalar is immutable")
@@ -153,13 +161,11 @@ class CycScalar(Componentwise):
     @staticmethod
     def from_poly(order: int, coeffs) -> CycScalar:
         """Build from an arbitrary-length list of exact coefficients, reducing mod Phi."""
-        return _reduce(order, [_exact(c) for c in coeffs])
+        return _reduce(order, *_integral(coeffs))
 
     @staticmethod
     def from_rational(order: int, value) -> CycScalar:
-        coeffs = [_ZERO] * _residues(order)[0]
-        coeffs[0] = _exact(value)
-        return CycScalar(order, tuple(coeffs))
+        return _reduce(order, *_integral((value,)))
 
     @staticmethod
     @functools.lru_cache(maxsize=None)
@@ -182,10 +188,9 @@ class CycScalar(Componentwise):
 
     # -- ring structure ----------------------------------------------------
 
-    _parts = property(operator.attrgetter("coeffs"))
-
-    def _new(self, parts) -> CycScalar:
-        return CycScalar(self.order, parts)
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def _coerce(self, other) -> "CycScalar | None":
         """The rule for what a scalar is: a CycScalar of this order, an int or a Fraction."""
@@ -197,18 +202,53 @@ class CycScalar(Componentwise):
             return CycScalar.from_rational(self.order, other)
         return None
 
+    def _combine(self, other, op):
+        """op(self, other) coefficientwise over a common denominator; NotImplemented for a non-scalar."""
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        a, b, d, e = self.num, o.num, self.den, o.den
+        if d != e:
+            a = [c * e for c in a]
+            b = [c * d for c in b]
+            d *= e
+        return _reduce(self.order, list(map(op, a, b)), d)
+
     # Code objects of their own, so a profile tells scalar sums from the other kinds.
     def __add__(self, other):
-        return Componentwise.__add__(self, other)
+        return self._combine(other, operator.add)
+
+    __radd__ = __add__
 
     def __sub__(self, other):
-        return Componentwise.__sub__(self, other)
+        return self._combine(other, operator.sub)
+
+    def __rsub__(self, other):
+        return (-self)._combine(other, operator.add)
+
+    def __neg__(self):
+        return _reduce(self.order, [-c for c in self.num], self.den)
+
+    def __eq__(self, other) -> bool:
+        try:
+            o = self._coerce(other)
+        except ValueError:
+            return False
+        if o is None:
+            return NotImplemented
+        return self.num == o.num and self.den == o.den
+
+    def __bool__(self) -> bool:
+        return any(self.num)
+
+    def is_zero(self) -> bool:
+        return not self
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _reduce(self.order, _poly_mul(self.coeffs, o.coeffs))
+        return _reduce(self.order, _poly_mul(self.num, o.num), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -225,7 +265,7 @@ class CycScalar(Componentwise):
             s0, s1 = s1, _poly_sub(s0, _poly_mul(quot, s1))
         # r0 is a nonzero constant: Phi is irreducible over Q
         lead = next(c for c in reversed(r0) if c)
-        return _reduce(self.order, [c / lead for c in s0])
+        return CycScalar.from_poly(self.order, [c / lead for c in s0])
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -248,16 +288,16 @@ class CycScalar(Componentwise):
 
     def __hash__(self):
         if self.is_rational():
-            return hash(self.coeffs[0])
-        return hash((self.order, self.coeffs))
+            return hash(Fraction(self.num[0], self.den))
+        return hash((self.order, self.num, self.den))
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("scalar has a nontrivial q part")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def embed(self) -> complex:
         """Numeric image under q -> exp(2*pi*i/order)."""
@@ -278,7 +318,7 @@ class CycScalar(Componentwise):
 def _q_powers(order: int) -> tuple[CycScalar, ...]:
     """q**0 .. q**(order-1) as scalars, built once per order."""
     _, rows = _residues(order)
-    return tuple(CycScalar(order, tuple(map(Fraction, row))) for row in rows)
+    return tuple(_reduce(order, row) for row in rows)
 
 
 def power(base, k: int, one):
@@ -328,10 +368,14 @@ def render_terms(terms) -> str:
     return out or "0"
 
 
-def _exact(value) -> Fraction:
-    if not isinstance(value, _EXACT):
-        raise TypeError(f"a coefficient must be an int or a Fraction, not {type(value).__name__}")
-    return Fraction(value)
+def _integral(values) -> tuple[list[int], int]:
+    """(ints, den) with values[m] = ints[m] / den, den the least common denominator."""
+    values = list(values)
+    for v in values:
+        if not isinstance(v, _EXACT):
+            raise TypeError(f"a coefficient must be an int or a Fraction, not {type(v).__name__}")
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def _poly_divmod(a: list[Fraction], b: list[Fraction]):
@@ -352,8 +396,9 @@ def _poly_divmod(a: list[Fraction], b: list[Fraction]):
     return quot, a[:db]
 
 
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [_ZERO] * (len(a) + len(b) - 1)
+def _poly_mul(a, b) -> list:
+    """The product in Q[t] of two ascending coefficient lists, ints or Fractions."""
+    out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):

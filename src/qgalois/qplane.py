@@ -100,7 +100,7 @@ class XPoly(Componentwise):
     def __mul__(self, other):
         if not isinstance(other, XPoly):
             c = _scalar(self.order, other)
-            return NotImplemented if c is None else self.scale(c)
+            return NotImplemented if c is None else self._scaled(c)
         o = self._coerce(other)
         n = self.order
         out = [CycScalar.zero(n)] * n
@@ -120,7 +120,9 @@ class XPoly(Componentwise):
 
     def scale(self, coeff) -> XPoly:
         """Multiply every coefficient by a scalar; zero coefficients are kept as they are."""
-        c = _as_scalar(self.order, coeff)
+        return self._scaled(_as_scalar(self.order, coeff))
+
+    def _scaled(self, c: CycScalar) -> XPoly:
         return XPoly(self.order, (c * a if a else a for a in self.coeffs), self.sign)
 
     # -- the structure maps --------------------------------------------------

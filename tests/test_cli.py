@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgalois import CycScalar, ExtElement, PlaneElement, differential
-from qgalois import cli, verify
+from qgalois import verify
 from qgalois.calculus import covariant_operator, partial_derivative, q_plane_families
 from qgalois.cli import EvalError, ParseError, element_json, evaluate, main, parse, xpoly_json
 
@@ -214,9 +214,20 @@ def test_main_rejects_case_counts_above_the_bound(capsys, monkeypatch):
     assert exc.value.code == 2
     assert capsys.readouterr().err.splitlines()[-1].endswith("error: --cases must lie in 1..1000")
     runs = []
-    monkeypatch.setattr(cli, "run_all", lambda order, seed, cases: runs.append(cases) or [])
+    monkeypatch.setattr(verify, "run_all", lambda order, seed, cases: runs.append(cases) or [])
     assert main(["verify", "--order", "2", "--cases", "1000"]) == 0
     assert runs == [1000]
+
+
+def test_only_the_verify_command_imports_verify():
+    """Every other command starts without compiling the identity suites."""
+    code = (
+        "import sys; from qgalois import cli; cli.main(['tables', '--order', '2']); "
+        "print('qgalois.verify' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_main_matrix_text(capsys):

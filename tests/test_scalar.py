@@ -1,5 +1,7 @@
 """Cyclotomic scalars: canonical reduction, field structure, q-combinatorics."""
 
+import cProfile
+import pstats
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -9,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qgalois import CycScalar, cyclotomic_polynomial, q_factorial, q_integer
+from qgalois.cyclotomic import _reduce
 
 # Ascending coefficients, from the classical table of cyclotomic polynomials.
 KNOWN_CYCLOTOMIC = {
@@ -140,6 +143,21 @@ def test_scalar_constructors_refuse_inexact_coefficients(value):
         CycScalar.from_poly(3, [1, value])
     with pytest.raises(TypeError):
         CycScalar.from_poly(3, [0, 0, 0, value])  # a coefficient that folds is checked too
+
+
+@pytest.mark.parametrize("value", INEXACT, ids=["float", "str", "Decimal"])
+def test_the_canonical_form_constructor_refuses_inexact_coefficients(value):
+    with pytest.raises(TypeError):
+        CycScalar(3, (value, 0))
+    with pytest.raises(TypeError):
+        CycScalar(3, (1, value))
+
+
+def test_the_canonical_form_constructor_takes_ints_and_fractions():
+    half = Fraction(1, 2)
+    a = CycScalar(3, (half, 2))
+    assert a == CycScalar.from_poly(3, [half, 2]) and a.coeffs == (half, 2)
+    assert CycScalar(3, (0, Fraction(0, 5))) == 0
 
 
 def test_scalar_constructors_take_ints_and_fractions():
@@ -308,6 +326,75 @@ def test_q_powers_match_sympy_reduction(order):
     t = sympy.Symbol("t")
     for k in range(order):
         assert CycScalar.q_power(order, k) == sympy_reduced(sympy, t, order, t**k), (order, k)
+
+
+@pytest.mark.parametrize("order", range(2, 13))
+def test_inverses_match_sympy(order):
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    rng = random.Random(3000 + order)
+    for _ in range(4):
+        a = rand_scalar(rng, order)
+        if not a:
+            continue
+        inv = sympy.invert(sympy_poly(sympy, t, a.coeffs), sympy.cyclotomic_poly(order, t), t)
+        assert a.inverse() == sympy_reduced(sympy, t, order, inv), order
+
+
+@pytest.mark.parametrize("order", range(2, 13))
+def test_sums_and_differences_over_unlike_denominators_match_sympy(order):
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    rng = random.Random(4000 + order)
+    unlike = 0
+    for _ in range(4):
+        a = rand_scalar(rng, order) * Fraction(1, 7)
+        b = rand_scalar(rng, order) * Fraction(1, 3)
+        unlike += a.den != b.den
+        pa, pb = sympy_poly(sympy, t, a.coeffs), sympy_poly(sympy, t, b.coeffs)
+        assert a + b == sympy_reduced(sympy, t, order, pa + pb), order
+        assert a - b == sympy_reduced(sympy, t, order, pa - pb), order
+    assert unlike >= 3
+
+
+def assert_same_form(a, b):
+    assert a == b and hash(a) == hash(b) and a.coeffs == b.coeffs
+    assert (a.num, a.den) == (b.num, b.den)
+
+
+@pytest.mark.parametrize("order", range(2, 13))
+def test_every_route_to_a_value_gives_one_form(order):
+    rng = random.Random(5000 + order)
+    for k in (2, 6, 35):
+        a, b = rand_scalar(rng, order), rand_scalar(rng, order)
+        assert_same_form(CycScalar.from_poly(order, [c * Fraction(k, k) for c in a.coeffs]), a)
+        assert_same_form(_reduce(order, [k * c for c in a.num], k * a.den), a)
+        assert_same_form(CycScalar.from_poly(order, [k * c for c in a.coeffs]) / k, a)
+        if b:
+            assert_same_form(a * b * b.inverse(), a)
+        assert_same_form((a + b) - b, a)
+        assert a.den > 0
+
+
+@pytest.mark.parametrize("value", [0, 1, -4, 2**70, Fraction(3, 2), Fraction(-5, 12)])
+def test_a_rational_scalar_hashes_like_its_value(value):
+    for order in (2, 3, 7, 12):
+        a = CycScalar.from_rational(order, value)
+        assert a == value and hash(a) == hash(value)
+
+
+def test_scalar_arithmetic_makes_no_fraction():
+    """Products, sums, differences, negation, == and the zero test run on ints alone."""
+    rng = random.Random(7)
+    pairs = [(rand_scalar(rng, 7), rand_scalar(rng, 7)) for _ in range(6)]
+    profile = cProfile.Profile()
+    profile.enable()
+    for a, b in pairs:
+        a * b, a + b, a - b, -a, a == b, bool(a)
+    profile.disable()
+    files = {path for path, _, _ in pstats.Stats(profile).stats}
+    assert any(path.endswith("cyclotomic.py") for path in files)
+    assert not [path for path in files if path.endswith("fractions.py")]
 
 
 def test_cyclotomic_module_doctests_pass():

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import operator
 import os
 import sys
@@ -295,8 +296,9 @@ class _SizeBound:
             bound = 10**limit
             for row in element.components:
                 for c in row.coeffs:
-                    for f in c.coeffs:
-                        if abs(f.numerator) >= bound or f.denominator >= bound:
+                    for v in c.num:
+                        big = max(abs(v), c.den)  # the term v / den in lowest terms is no larger
+                        if big >= bound and big // math.gcd(v, c.den) >= bound:
                             raise _too_many_digits()
         self.element = element
 

@@ -18,8 +18,6 @@ from fractions import Fraction
 
 # The exact rationals, the only coefficients a scalar takes: a float, str or Decimal is a TypeError.
 _EXACT = (int, Fraction)
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -33,13 +31,13 @@ def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
     """
     if order < 1:
         raise ValueError("order must be positive")
-    out = [Fraction(-1)] + [_ZERO] * (order - 1) + [_ONE]
+    out = [-1] + [0] * (order - 1) + [1]
     for d in range(1, order):
         if order % d == 0:
-            out, rem = _poly_divmod(out, [Fraction(c) for c in cyclotomic_polynomial(d)])
+            out, rem = _poly_divmod(out, cyclotomic_polynomial(d))
             if any(rem):
                 raise ValueError("division is not exact")
-    return tuple(int(c) for c in out)
+    return tuple(out)
 
 
 @functools.lru_cache(maxsize=None)
@@ -156,6 +154,9 @@ class CycScalar:
     def __setattr__(self, *_):
         raise AttributeError("CycScalar is immutable")
 
+    def __reduce__(self):
+        return _reduce, (self.order, self.num, self.den)
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -252,20 +253,29 @@ class CycScalar:
 
     __rmul__ = __mul__
 
+    def galois(self, k: int) -> CycScalar:
+        """The image under the automorphism q -> q**k of Q(q), for k prime to the order."""
+        if math.gcd(k, self.order) != 1:
+            raise ValueError(f"q -> q^{k} is no automorphism: {k} is not prime to the order {self.order}")
+        vec = [0] * self.order
+        for m, c in enumerate(self.num):
+            vec[k * m % self.order] = c
+        return _reduce(self.order, vec, self.den)
+
     def inverse(self) -> CycScalar:
-        """Multiplicative inverse via the extended Euclidean algorithm in Q[t]."""
+        """a**-1 = den c / N(num) for a = num / den, c the product of num's conjugates q -> q**k, 1 < k < N.
+
+        Each ``galois(k)`` maps Z[q] onto itself, so it keeps den, and N(num) = num c is an integer.
+        """
         if not self:
             raise ZeroDivisionError("inverse of zero in Q(q)")
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        r0, r1 = phi, list(self.coeffs)
-        s0, s1 = [_ZERO], [_ONE]
-        while any(r1):
-            quot, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(quot, s1))
-        # r0 is a nonzero constant: Phi is irreducible over Q
-        lead = next(c for c in reversed(r0) if c)
-        return CycScalar.from_poly(self.order, [c / lead for c in s0])
+        c = [1]
+        for k in range(2, self.order):
+            if math.gcd(k, self.order) == 1:
+                c = _reduce(self.order, _poly_mul(c, self.galois(k).num)).num
+        norm = _reduce(self.order, _poly_mul(self.num, c)).num[0]
+        sign = 1 if norm > 0 else -1
+        return _reduce(self.order, [sign * self.den * x for x in c], sign * norm)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -317,8 +327,7 @@ class CycScalar:
 @functools.lru_cache(maxsize=None)
 def _q_powers(order: int) -> tuple[CycScalar, ...]:
     """q**0 .. q**(order-1) as scalars, built once per order."""
-    _, rows = _residues(order)
-    return tuple(_reduce(order, row) for row in rows)
+    return tuple(_reduce(order, row) for row in _residues(order)[1])
 
 
 def power(base, k: int, one):
@@ -378,26 +387,22 @@ def _integral(values) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    """Quotient and remainder in Q[t]; b need not be monic."""
+def _poly_divmod(a: list[int], b) -> tuple[list[int], list[int]]:
+    """Quotient and remainder in Z[t] of a by the monic b, with len(a) >= len(b)."""
     a = list(a)
-    db = max(i for i, c in enumerate(b) if c)
-    lead = b[db]
-    if len(a) <= db:
-        return [_ZERO], a
-    quot = [_ZERO] * (len(a) - db)
+    db = len(b) - 1
+    quot = [0] * (len(a) - db)
     for i in range(len(a) - 1, db - 1, -1):
         c = a[i]
         if c:
-            f = c / lead
-            quot[i - db] = f
+            quot[i - db] = c
             for j in range(db + 1):
-                a[i - db + j] -= f * b[j]
+                a[i - db + j] -= c * b[j]
     return quot, a[:db]
 
 
-def _poly_mul(a, b) -> list:
-    """The product in Q[t] of two ascending coefficient lists, ints or Fractions."""
+def _poly_mul(a, b) -> list[int]:
+    """The product in Z[t] of two ascending int coefficient lists."""
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -405,13 +410,6 @@ def _poly_mul(a, b) -> list:
                 if bj:
                     out[i + j] += ai * bj
     return out
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [_ZERO] * (n - len(a))
-    b = b + [_ZERO] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
 
 
 def q_integer(k: int, order: int) -> CycScalar:

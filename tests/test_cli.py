@@ -388,6 +388,13 @@ def test_growing_power_stops_at_the_digit_limit():
     assert "Traceback" not in proc.stderr
 
 
+def test_the_digit_limit_reads_each_term_in_lowest_terms():
+    # the scalar's common denominator 6^5600 has 4,358 digits; each term's, 2^5600 or 3^5600, has fewer
+    proc = run_cli("normalize", "--order", "3", "((1/2)^5600+(1/3)^5600*q)^1")
+    assert proc.returncode == 0
+    assert proc.stdout == f"(1/{2**5600} + 1/{3**5600}*q)\n"
+
+
 @pytest.mark.parametrize(
     "golden,args",
     [

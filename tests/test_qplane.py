@@ -1,5 +1,7 @@
 """Reduced quantum plane: normal forms, grading, inversion, matrix model."""
 
+import copy
+import pickle
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -701,3 +703,19 @@ def test_entry_points_take_ints_fractions_and_scalars(entry):
     for value in (-2, Fraction(3, 4)):
         assert build(value) == build(CycScalar.from_rational(3, value))
     assert build(CycScalar.q(3)) != build(1)
+
+
+@pytest.mark.parametrize(
+    "copier",
+    [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_elements_copy_and_pickle(copier):
+    rng = random.Random(17)
+    q = CycScalar.q(5)
+    u = rand_xpoly(rng, 5) * (1 + q)
+    w = rand_plane(rng, 5) * (q - 2) + PlaneElement.x(5)
+    quaternion = ExtElement(XPolyCarrier(2, -1), [XPoly.x(2, -1), 3])
+    for value in (u, w, represent(w), quaternion):
+        twin = copier(value)
+        assert twin == value and type(twin) is type(value)

@@ -1,6 +1,9 @@
 """Cyclotomic scalars: canonical reduction, field structure, q-combinatorics."""
 
+import copy
 import cProfile
+import math
+import pickle
 import pstats
 import random
 from decimal import Decimal
@@ -384,13 +387,13 @@ def test_a_rational_scalar_hashes_like_its_value(value):
 
 
 def test_scalar_arithmetic_makes_no_fraction():
-    """Products, sums, differences, negation, == and the zero test run on ints alone."""
+    """Products, sums, differences, negation, ==, the zero test, inverses and quotients use ints alone."""
     rng = random.Random(7)
     pairs = [(rand_scalar(rng, 7), rand_scalar(rng, 7)) for _ in range(6)]
     profile = cProfile.Profile()
     profile.enable()
     for a, b in pairs:
-        a * b, a + b, a - b, -a, a == b, bool(a)
+        a * b, a + b, a - b, -a, a == b, bool(a), a.inverse(), a / b
     profile.disable()
     files = {path for path, _, _ in pstats.Stats(profile).stats}
     assert any(path.endswith("cyclotomic.py") for path in files)
@@ -412,3 +415,89 @@ def test_q_integer_is_the_sum_of_q_powers(order):
     for k in range(2 * order + 1):
         expected = sum((CycScalar.q_power(order, j) for j in range(k)), CycScalar.zero(order))
         assert q_integer(k, order).coeffs == expected.coeffs
+
+
+def units(order):
+    return [k for k in range(1, order) if math.gcd(k, order) == 1]
+
+
+@pytest.mark.parametrize("order", range(2, 13))
+def test_galois_is_a_field_automorphism(order):
+    rng = random.Random(6000 + order)
+    for _ in range(3):
+        a, b = rand_scalar(rng, order), rand_scalar(rng, order)
+        assert_same_form(a.galois(1), a)
+        for k in units(order):
+            assert (a + b).galois(k) == a.galois(k) + b.galois(k)
+            assert (a * b).galois(k) == a.galois(k) * b.galois(k)
+            assert a.galois(k + order) == a.galois(k - order) == a.galois(k)
+            for j in units(order):
+                assert a.galois(j).galois(k) == a.galois(j * k % order)
+
+
+@pytest.mark.parametrize("order", range(2, 13))
+def test_galois_fixes_rationals_and_sends_q_to_its_power(order):
+    for k in units(order):
+        assert CycScalar.q(order).galois(k) == CycScalar.q_power(order, k)
+        for value in (0, 1, -4, Fraction(-7, 3)):
+            r = CycScalar.from_rational(order, value)
+            assert_same_form(r.galois(k), r)
+
+
+@pytest.mark.parametrize("order", range(2, 13))
+def test_the_product_of_all_conjugates_is_rational(order):
+    rng = random.Random(6500 + order)
+    for _ in range(3):
+        a = rand_scalar(rng, order)
+        norm = CycScalar.one(order)
+        for k in units(order):
+            norm = norm * a.galois(k)
+        assert norm.is_rational()
+        assert bool(norm) == bool(a)
+
+
+@pytest.mark.parametrize("order", range(2, 13))
+def test_galois_matches_sympy_substitution(order):
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    rng = random.Random(7000 + order)
+    for _ in range(3):
+        a = rand_scalar(rng, order)
+        for k in units(order):
+            expected = sympy_reduced(sympy, t, order, sympy_poly(sympy, t, a.coeffs).subs(t, t**k))
+            assert a.galois(k) == expected, (order, k)
+
+
+@pytest.mark.parametrize("order", range(2, 13))
+def test_galois_refuses_a_k_not_prime_to_the_order(order):
+    a = rand_scalar(random.Random(7500 + order), order)
+    for k in range(-order, 2 * order):
+        if math.gcd(k, order) != 1:
+            with pytest.raises(ValueError, match="not prime to the order"):
+                a.galois(k)
+
+
+@pytest.mark.parametrize("order", [7, 11, 12])
+def test_inverse_round_trip_with_60_digit_coefficients(order):
+    rng = random.Random(8000 + order)
+    deg = len(cyclotomic_polynomial(order)) - 1
+    for _ in range(3):
+        den = rng.randrange(10**59, 10**60)
+        a = CycScalar.from_poly(
+            order, [Fraction(rng.randrange(-(10**60), 10**60), den) for _ in range(deg)]
+        )
+        assert a * a.inverse() == 1
+        assert a.inverse().inverse() == a
+
+
+@pytest.mark.parametrize(
+    "copier",
+    [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_scalars_copy_and_pickle(copier):
+    rng = random.Random(9)
+    for order in (2, 7, 12):
+        rational = CycScalar.from_rational(order, Fraction(-3, 4))
+        for a in (CycScalar.q(order), rand_scalar(rng, order), rational):
+            assert_same_form(copier(a), a)

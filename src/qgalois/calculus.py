@@ -28,12 +28,14 @@ from .qplane import XPoly, XPolyCarrier
 
 
 class CheckResult:
-    """Outcome of one verified identity; residual is kept when it fails."""
+    """Outcome of one verified identity; when it fails, the first nonzero
+    residual is kept, with the operands the identity was checked on."""
 
-    def __init__(self, name: str, passed: bool, residual: Any = None):
+    def __init__(self, name: str, passed: bool, residual: Any = None, operands: tuple = ()):
         self.name = name
         self.passed = passed
         self.residual = residual
+        self.operands = operands
 
     def __bool__(self) -> bool:
         return self.passed

@@ -13,7 +13,7 @@ Expression grammar (whitespace is free):
 the order that evaluates it; ``evaluate(expr, order)`` calls it.  Nothing is
 evaluated before the source has parsed, so a syntax error wins over an
 evaluation error.  Rationals are written as ``7`` or ``7/3``; parentheses,
-unary minus and calls nest at most 100 deep.  ``--order`` lies in 2..8 and
+unary minus and calls nest at most 100 deep.  ``--order`` lies in 2..12 and
 ``verify --cases`` in 1..1000; a value outside either is a usage error.
 Exit codes: 0 success, 1 a verify run found a failing identity, 2 usage,
 parse, or evaluation errors, and output that cannot be written (a full disk,
@@ -41,9 +41,9 @@ from .cyclotomic import CycScalar, power
 from .galois import ExtElement, NotInvertible, differential
 from .qplane import PlaneElement, RepMatrix, XPoly, represent
 
-# Every command's largest --order: the largest the tests and benchmark use; cost grows fast past it.
-MAX_ORDER = 8
-# verify's largest --cases: a case costs about 0.13 s CPU at order 8, so a run ends within minutes.
+# Every command's largest --order: tier-1 verifies every row up to it; cost grows fast past it.
+MAX_ORDER = 12
+# verify's largest --cases: a case costs 0.04-0.06 s CPU at order 12, so a run ends in a minute.
 MAX_CASES = 1000
 # Parentheses, unary minus and calls nest at most this deep, far inside the recursion limit.
 MAX_NESTING = 100

@@ -3,14 +3,17 @@
 Every check is exact (zero residual required); randomness only chooses the
 sample points, never the tolerance.  Each suite returns CheckResult rows with
 stable dotted names so that report output is deterministic for a given order.
-Each sampled row draws from its own generator, seeded by (seed, row name), so
-what one row samples depends on no other row.
+
+Each suite is a table of rows (name, draw, law), run by ``_run``.  draw is the
+tuple of samplers that take one case's operands from the row's own generator,
+seeded by (seed, row name), so what one row samples depends on no other row;
+a row with draw () runs its law once, on no operands.  law(*operands) returns
+the residuals, and a failing row keeps the operands its law was called with.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import random
 from fractions import Fraction
 
@@ -59,7 +62,7 @@ from . import quaternion as quat
 
 
 def _rand_scalar(rng: random.Random, order: int) -> CycScalar:
-    deg = len(CycScalar.zero(order).coeffs)
+    deg = len(CycScalar.zero(order).num)
     return CycScalar.from_poly(
         order,
         [
@@ -103,26 +106,55 @@ def _rand_form(rng: random.Random, carrier: XPolyCarrier) -> KForm:
 # -- the case loop and the laws several rows share --------------------------------
 
 
-def _draws(seed: int, cases: int, name: str, case):
-    """Everything case(rng) returns in ``cases`` calls on the row's own generator.
+def _samplers(carrier: XPolyCarrier):
+    """Draws of a carrier element, an extension element and a homogeneous form."""
+    return (
+        lambda rng: _rand_xpoly(rng, carrier),
+        lambda rng: _rand_ext(rng, carrier),
+        lambda rng: _rand_form(rng, carrier),
+    )
 
-    Seeded by (seed, name), it draws the same whatever the other rows draw.
-    """
+
+def _cases(seed: int, cases: int, name: str, draw):
+    """The operand tuples of the row ``name``: ``cases`` draws, each sampler of
+    draw in turn on the row's generator, seeded by (seed, name); () once when
+    draw is empty."""
+    if not draw:
+        yield ()
+        return
     rng = random.Random(f"{seed}:{name}")
     for _ in range(cases):
-        yield from case(rng)
+        yield tuple(sample(rng) for sample in draw)
 
 
-def _all_zero(name: str, residuals) -> CheckResult:
-    for r in residuals:
-        if not r.is_zero():
-            return CheckResult(name, False, r)
+def _check(seed: int, cases: int, name: str, draw, law, count=None) -> CheckResult:
+    """The row ``name``: law returns only zeros on the operands of every case.
+
+    count, when given, is the row's own case count in place of ``cases``.
+    """
+    for operands in _cases(seed, count or cases, name, draw):
+        for r in law(*operands):
+            if not r.is_zero():
+                return CheckResult(name, False, r, operands)
     return CheckResult(name, True)
 
 
-def _sampled(seed: int, cases: int, name: str, case) -> CheckResult:
-    """The row ``name``: every residual case(rng) returns in ``cases`` draws is zero."""
-    return _all_zero(name, _draws(seed, cases, name, case))
+def _run(seed: int, cases: int, table) -> list[CheckResult]:
+    """A suite's rows from its table, in order.
+
+    An entry is a row (name, draw, law[, count]), or a CheckResult kept as it
+    is.  An entry that repeats the name before it goes on with that row, if it
+    has not failed: the row's sampled and fixed parts run in the table's order.
+    """
+    rows = []
+    for entry in table:
+        if isinstance(entry, CheckResult):
+            rows.append(entry)
+        elif rows and rows[-1].name == entry[0]:
+            rows[-1] = rows[-1] and _check(seed, cases, *entry)
+        else:
+            rows.append(_check(seed, cases, *entry))
+    return rows
 
 
 def _prefixed(prefix: str, rows) -> list[CheckResult]:
@@ -130,19 +162,15 @@ def _prefixed(prefix: str, rows) -> list[CheckResult]:
     return [CheckResult(f"{prefix}.{r.name}", r.passed, r.residual) for r in rows]
 
 
-def _twisted_derivation(d, sigma, u, v):
-    """d(uv) - (d(u) v + sigma(u) d(v)); zero when d is a sigma-twisted derivation."""
-    return d(u * v) - (d(u) * v + sigma(u) * d(v))
+def _twisted_derivation(d, sigma):
+    """The law d(uv) = d(u) v + sigma(u) d(v) of a sigma-twisted derivation d."""
+    return lambda u, v: [d(u * v) - (d(u) * v + sigma(u) * d(v))]
 
 
-def _derivation_case(carrier: XPolyCarrier, d, sigma):
-    """The case that checks the law for d and sigma on two random carrier elements."""
-
-    def case(rng):
-        u, v = _rand_xpoly(rng, carrier), _rand_xpoly(rng, carrier)
-        return [_twisted_derivation(d, sigma, u, v)]
-
-    return case
+def _q_leibniz(f: KForm, v: ExtElement) -> list[ExtElement]:
+    """The graded q-Leibniz rule for the form f and v: d(fv) = d(f) v + q**|f| f d(v)."""
+    law = _twisted_derivation(differential, lambda w: w.scale_by_q(f.degree))
+    return law(ExtElement.from_forms(f.carrier, [f]), v)
 
 
 def _nilpotent(d, xi):
@@ -152,17 +180,12 @@ def _nilpotent(d, xi):
     return xi
 
 
-def _nilpotent_case(carrier: XPolyCarrier, rng: random.Random) -> list[ExtElement]:
-    """d**N of a random extension element."""
-    return [_nilpotent(differential, _rand_ext(rng, carrier))]
-
-
-def _grading_case(carrier: XPolyCarrier, rng: random.Random) -> list[ExtElement]:
-    """The part of ab outside degree |a| + |b|, for random homogeneous a and b."""
-    a, b = _rand_form(rng, carrier), _rand_form(rng, carrier)
-    prod = ExtElement.from_forms(carrier, [a]) * ExtElement.from_forms(carrier, [b])
-    k = (a.degree + b.degree) % carrier.order
-    return [ExtElement.from_forms(carrier, [f for f in prod.forms() if f.degree != k])]
+def _grading(a: KForm, b: KForm) -> list[ExtElement]:
+    """The part of ab outside degree |a| + |b|, for homogeneous a and b."""
+    c = a.carrier
+    prod = ExtElement.from_forms(c, [a]) * ExtElement.from_forms(c, [b])
+    k = (a.degree + b.degree) % c.order
+    return [ExtElement.from_forms(c, [f for f in prod.forms() if f.degree != k])]
 
 
 def _form_residual(lhs: KForm, rhs: KForm) -> ExtElement:
@@ -175,39 +198,33 @@ def _form_residual(lhs: KForm, rhs: KForm) -> ExtElement:
 
 
 def scalar_suite(order: int, seed: int, cases: int) -> list[CheckResult]:
-    out = []
     one = CycScalar.one(order)
     q = CycScalar.q(order)
+    scalar = lambda rng: _rand_scalar(rng, order)
 
     ok = q ** order == one and all(q ** k != one for k in range(1, order))
-    out.append(CheckResult("scalar.q_has_order_n", ok, None if ok else q))
-
     total = sum((CycScalar.q_power(order, j) for j in range(order)), CycScalar.zero(order))
-    out.append(CheckResult("scalar.root_powers_sum_to_zero", not total, total or None))
+    rows = _run(seed, cases, [
+        CheckResult("scalar.q_has_order_n", ok, None if ok else q),
+        CheckResult("scalar.root_powers_sum_to_zero", not total, total or None),
+        CheckResult("scalar.q_integer_n_vanishes", not q_integer(order, order)),
+        ("scalar.field_axioms", (scalar,) * 3, lambda a, b, c: [
+            (a + b) + c - (a + (b + c)),
+            (a * b) * c - (a * (b * c)),
+            a * (b + c) - (a * b + a * c),
+            a * b - b * a,
+            *([a * a.inverse() - one] if a else []),
+        ]),
+    ])
 
-    ok = q_integer(order, order) == CycScalar.zero(order)
-    out.append(CheckResult("scalar.q_integer_n_vanishes", ok))
-
-    def field_axioms(rng):
-        a, b, c = (_rand_scalar(rng, order) for _ in range(3))
-        yield (a + b) + c - (a + (b + c))
-        yield (a * b) * c - (a * (b * c))
-        yield a * (b + c) - (a * b + a * c)
-        yield a * b - b * a
-        if a:
-            yield a * a.inverse() - one
-
-    out.append(_sampled(seed, cases, "scalar.field_axioms", field_axioms))
-
-    def embedding_errors(rng):
-        a, b = _rand_scalar(rng, order), _rand_scalar(rng, order)
+    def embedding_errors(a, b):
         yield abs((a * b).embed() - a.embed() * b.embed())
         yield abs((a + b).embed() - (a.embed() + b.embed()))
 
-    worst = max(_draws(seed, cases, "scalar.complex_embedding", embedding_errors), default=0.0)
+    draws = _cases(seed, cases, "scalar.complex_embedding", (scalar, scalar))
+    worst = max((e for ab in draws for e in embedding_errors(*ab)), default=0.0)
     ok = worst <= 1e-10 and abs(q.embed() ** order - 1) <= 1e-12
-    out.append(CheckResult("scalar.complex_embedding", ok, None if ok else worst))
-    return out
+    return rows + [CheckResult("scalar.complex_embedding", ok, None if ok else worst)]
 
 
 def galois_suite(carrier: XPolyCarrier, seed: int, cases: int) -> list[CheckResult]:
@@ -216,221 +233,150 @@ def galois_suite(carrier: XPolyCarrier, seed: int, cases: int) -> list[CheckResu
     x = Coordinate(carrier, carrier.basis()[1])
     d_dx, conj = functools.partial(right_derivative, x=x), functools.partial(conjugation_dx, x=x)
     delta_c = functools.partial(delta, carrier)
+    xp, ext, form = _samplers(carrier)
 
-    def phi_order(rng):
-        u = _rand_xpoly(rng, carrier)
-        return [carrier.phi(carrier.phi(u), n - 1) - u]
+    def coordinate(rng):
+        """A coordinate z of the carrier, drawn until Delta(z) is invertible."""
+        return _rand_invertible(rng, carrier, functools.partial(Coordinate, carrier))[1]
 
-    def associative(rng):
-        a, b, c = (_rand_ext(rng, carrier) for _ in range(3))
-        return [(a * b) * c - a * (b * c)]
-
-    def commutator(rng):
-        xi = _rand_ext(rng, carrier)
-        return [differential(xi) - q_commutator(t, xi)]
-
-    def q_leibniz(rng):
-        f = _rand_form(rng, carrier)
-        u, v = ExtElement.from_forms(carrier, [f]), _rand_ext(rng, carrier)
-        return [_twisted_derivation(differential, lambda w: w.scale_by_q(f.degree), u, v)]
-
-    def conj_hom(rng):
-        u, v = _rand_xpoly(rng, carrier), _rand_xpoly(rng, carrier)
-        return [conj(u * v) - conj(u) * conj(v)]
-
-    def chain(rng):
-        _, z = _rand_invertible(rng, carrier, functools.partial(Coordinate, carrier))
-        u = _rand_xpoly(rng, carrier)
+    def chain(z, u):
         dz_dx, dx_dz = change_of_variable(z, x)
         return [d_dx(u) - dz_dx * right_derivative(u, z), dz_dx * dx_dz - carrier.one()]
 
-    rows = [
-        ("galois.phi_has_order_n", phi_order),
-        ("galois.extension_associative", associative),
-        ("galois.grading_additive", functools.partial(_grading_case, carrier)),
-        ("galois.differential_is_commutator", commutator),
-        ("galois.differential_nilpotent", functools.partial(_nilpotent_case, carrier)),
-        ("galois.q_leibniz", q_leibniz),
-        ("galois.delta_product_rule", _derivation_case(carrier, delta_c, carrier.phi)),
-        ("galois.twisted_leibniz", _derivation_case(carrier, d_dx, conj)),
-        ("galois.conjugation_multiplicative", conj_hom),
-        ("galois.change_of_variable_chain", chain),
-    ]
-    return [_sampled(seed, cases, name, case) for name, case in rows]
+    return _run(seed, cases, [
+        ("galois.phi_has_order_n", (xp,), lambda u: [carrier.phi(carrier.phi(u), n - 1) - u]),
+        ("galois.extension_associative", (ext,) * 3, lambda a, b, c: [(a * b) * c - a * (b * c)]),
+        ("galois.grading_additive", (form, form), _grading),
+        ("galois.differential_is_commutator", (ext,),
+         lambda xi: [differential(xi) - q_commutator(t, xi)]),
+        ("galois.differential_nilpotent", (ext,), lambda xi: [_nilpotent(differential, xi)]),
+        ("galois.q_leibniz", (form, ext), _q_leibniz),
+        ("galois.delta_product_rule", (xp, xp), _twisted_derivation(delta_c, carrier.phi)),
+        ("galois.twisted_leibniz", (xp, xp), _twisted_derivation(d_dx, conj)),
+        ("galois.conjugation_multiplicative", (xp, xp),
+         lambda u, v: [conj(u * v) - conj(u) * conj(v)]),
+        ("galois.change_of_variable_chain", (coordinate, xp), chain),
+    ])
 
 
 def qplane_suite(order: int, seed: int, cases: int) -> list[CheckResult]:
-    out = []
     n = order
     carrier = XPolyCarrier(n)
     x, y, one = PlaneElement.x(n), PlaneElement.y(n), PlaneElement.one(n)
     q = CycScalar.q(n)
-
-    ok = (x * y == (y * x).scale(q)) and (x ** n == one) and (y ** n == one)
-    out.append(CheckResult("qplane.generator_relations", ok))
-
-    def assoc_unital(rng):
-        a, b, c = (_rand_ext(rng, carrier) for _ in range(3))
-        return [(a * b) * c - a * (b * c), a * one - a, one * a - a]
-
-    out.append(_sampled(seed, cases, "qplane.mul_associative_unital", assoc_unital))
-    grading = functools.partial(_grading_case, carrier)
-    out.append(_sampled(seed, cases, "qplane.grading_additive", grading))
-
-    def twist_law(rng):
-        r = _rand_xpoly(rng, carrier)
-        k = rng.randrange(n)
-        return [r * y ** k - ExtElement.from_component(carrier, k, r.twist(k))]
-
-    out.append(_sampled(seed, cases, "qplane.twist_transport", twist_law))
-
-    def inv_round(rng):
-        r, r_inv = _rand_invertible(rng, carrier, XPoly.inverse)
-        return [r * r_inv - XPoly.one(n)]
-
-    out.append(_sampled(seed, cases, "qplane.x_inverse_round_trip", inv_round))
-
     xm, ym = generator_matrices(n)
-    ok = (
-        xm * ym == (ym * xm).scale(q)
-        and xm ** n == RepMatrix.identity(n)
-        and ym ** n == RepMatrix.identity(n)
-    )
-    out.append(CheckResult("qplane.representation_relations", ok))
+    delta_c = functools.partial(delta, carrier)
+    xp, ext, form = _samplers(carrier)
+    invertible = lambda rng: _rand_invertible(rng, carrier, XPoly.inverse)
 
-    def rep_hom(rng):
-        a, b = _rand_ext(rng, carrier), _rand_ext(rng, carrier)
-        return [
+    return _run(seed, cases, [
+        CheckResult("qplane.generator_relations",
+                    (x * y == (y * x).scale(q)) and (x ** n == one) and (y ** n == one)),
+        ("qplane.mul_associative_unital", (ext,) * 3,
+         lambda a, b, c: [(a * b) * c - a * (b * c), a * one - a, one * a - a]),
+        ("qplane.grading_additive", (form, form), _grading),
+        ("qplane.twist_transport", (xp, lambda rng: rng.randrange(n)),
+         lambda r, k: [r * y ** k - ExtElement.from_component(carrier, k, r.twist(k))]),
+        ("qplane.x_inverse_round_trip", (invertible,),
+         lambda pair: [pair[0] * pair[1] - XPoly.one(n)]),
+        CheckResult("qplane.representation_relations", (
+            xm * ym == (ym * xm).scale(q)
+            and xm ** n == RepMatrix.identity(n)
+            and ym ** n == RepMatrix.identity(n)
+        )),
+        ("qplane.representation_multiplicative", (ext, ext), lambda a, b: [
             represent(a * b) - represent(a) * represent(b),
             represent(a + b) - (represent(a) + represent(b)),
-        ]
-
-    out.append(_sampled(seed, cases, "qplane.representation_multiplicative", rep_hom))
-
-    ok = scalar_rank([m._parts for _, m in sorted(basis_matrices(n).items())]) == n * n
-    out.append(CheckResult("qplane.representation_faithful", ok))
-
-    delta_c = functools.partial(delta, carrier)
-
-    def delta_monomials():
-        for k in range(n):
-            mono = XPoly.monomial(n, k)
-            yield delta_c(mono) - mono.scale((CycScalar.one(n) - q) * q_integer(k, n))
-
-    name = "qplane.delta_q_rules"
-    sampled = _draws(seed, cases, name, _derivation_case(carrier, delta_c, carrier.phi))
-    out.append(_all_zero(name, itertools.chain(sampled, delta_monomials())))
-
-    def carrier_diff(rng):
-        w = _rand_xpoly(rng, carrier)
-        lhs = differential(ExtElement.embed(carrier, w))
-        return [lhs - ExtElement.from_component(carrier, 1, delta_c(w))]
-
-    out.append(_sampled(seed, cases, "qplane.differential_of_function", carrier_diff))
-    return out
+        ]),
+        CheckResult("qplane.representation_faithful",
+                    scalar_rank([m._parts for _, m in sorted(basis_matrices(n).items())]) == n * n),
+        ("qplane.delta_q_rules", (xp, xp), _twisted_derivation(delta_c, carrier.phi)),
+        ("qplane.delta_q_rules", (), lambda: [
+            delta_c(m) - m.scale((CycScalar.one(n) - q) * q_integer(k, n))
+            for k, m in enumerate(carrier.basis())
+        ]),
+        ("qplane.differential_of_function", (xp,), lambda w: [
+            differential(ExtElement.embed(carrier, w))
+            - ExtElement.from_component(carrier, 1, delta_c(w))
+        ]),
+    ])
 
 
 def calculus_suite(order: int, seed: int, cases: int) -> list[CheckResult]:
-    out = []
     n = order
     fam = q_plane_families(n)
     carrier = fam.carrier
     x = fam.coordinate
+    xp, _, form = _samplers(carrier)
+    # The two rows over every k draw one operand per k in a case, max(1, cases // N) cases.
+    per_k = max(1, cases // n)
 
-    out.extend(_prefixed("calculus", identity_check(fam)))
+    def dx_power_differential():
+        return [
+            _form_residual(
+                KForm(carrier, k, fam.dx_pow[k - 1]).differential(),
+                from_dx_basis(fam, k + 1, fam.connection[k - 1]),
+            )
+            for k in range(1, n)
+        ]
 
-    def phi_closed():
-        for k in range(1, n):
-            yield fam.connection[k - 1] - XPoly.monomial(n, n - 1, delta_coefficient(n, k))
-
-    out.append(_all_zero("calculus.connection_closed_form", phi_closed()))
-
-    def phi_diff():
-        for k in range(1, n):
-            lhs = KForm(carrier, k, fam.dx_pow[k - 1]).differential()
-            rhs = from_dx_basis(fam, k + 1, fam.connection[k - 1])
-            yield _form_residual(lhs, rhs)
-
-    out.append(_all_zero("calculus.dx_power_differential", phi_diff()))
-
-    def round_trip(rng):
-        form = _rand_form(rng, carrier)
-        return [_form_residual(form, from_dx_basis(fam, form.degree, to_dx_basis(form, fam)))]
-
-    out.append(_sampled(seed, cases, "calculus.dx_basis_round_trip", round_trip))
-
-    def covariant(rng):
-        k = rng.randrange(1, n)
-        r = _rand_xpoly(rng, carrier)
+    def covariant(k, r):
         lhs = from_dx_basis(fam, k, r).differential()
         return [_form_residual(lhs, from_dx_basis(fam, k + 1, covariant_operator(fam, k)(r)))]
 
-    out.append(_sampled(seed, cases, "calculus.covariant_matches_graded", covariant))
-
     def power_rule():
-        for k in range(n):
-            expected = XPoly.monomial(n, k - 1, q_integer(k, n)) if k else XPoly.zero(n)
-            yield partial_derivative(XPoly.monomial(n, k)) - expected
+        return [
+            partial_derivative(XPoly.monomial(n, k))
+            - (XPoly.monomial(n, k - 1, q_integer(k, n)) if k else XPoly.zero(n))
+            for k in range(n)
+        ]
 
-    out.append(_all_zero("calculus.partial_power_rule", power_rule()))
-
-    def partial_vs_rd(rng):
-        r = _rand_xpoly(rng, carrier)
-        return [partial_derivative(r) - right_derivative(r, x)]
-
-    out.append(_sampled(seed, cases, "calculus.partial_matches_right_derivative", partial_vs_rd))
-
-    leibniz = _derivation_case(carrier, partial_derivative, carrier.phi)
-    out.append(_sampled(seed, cases, "calculus.partial_twisted_leibniz", leibniz))
-
-    # The two rows over every k draw max(1, cases // N) operands per k.
-    per_k = max(1, cases // n)
-
-    def hd_two_routes(rng):
-        for k in range(n):
-            r = _rand_xpoly(rng, carrier)
-            yield higher_delta(k, r) - higher_delta_closed(k, r)
-
-    out.append(_sampled(seed, per_k, "calculus.higher_delta_two_routes", hd_two_routes))
-
-    def hd_derivation(rng):
-        k = rng.randrange(n)
-        r, s = _rand_xpoly(rng, carrier), _rand_xpoly(rng, carrier)
+    def hd_derivation(k, r, s):
         qk = CycScalar.q_power(n, k)
         rhs = higher_delta(k, r) * s + (r.twist(1) * higher_delta(0, s)).scale(qk)
         return [higher_delta(k, r * s) - rhs]
 
-    out.append(_sampled(seed, cases, "calculus.higher_delta_derivation", hd_derivation))
-
-    def hd_covariant(rng):
-        for k in range(1, n):
-            r = _rand_xpoly(rng, carrier)
-            yield higher_delta(k, r) - covariant_operator(fam, k)(r)
-
-    out.append(_sampled(seed, per_k, "calculus.higher_delta_matches_covariant", hd_covariant))
-
     def iterated():
-        form = KForm(carrier, 0, x.x)
+        form, out = KForm(carrier, 0, x.x), []
         for k in range(1, n + 1):
             form = form.differential()
-            yield _form_residual(form, higher_differential_of_x(fam, k))
-
-    out.append(_all_zero("calculus.dkx_matches_iterated_differential", iterated()))
+            out.append(_form_residual(form, higher_differential_of_x(fam, k)))
+        return out
 
     def generator_relation():
+        out = []
         for k in range(1, n + 1):
-            lhs = higher_differential_of_x(fam, k)
             gamma = q_factorial(k, n) / CycScalar.q_power(n, k * (k - 1) // 2)
             rhs = from_dx_basis(fam, k, XPoly.monomial(n, (1 - k) % n, gamma))
-            yield _form_residual(lhs, rhs)
+            out.append(_form_residual(higher_differential_of_x(fam, k), rhs))
+        return out
 
-    out.append(_all_zero("calculus.generator_relation_q_factorial", generator_relation()))
-
-    def forms_nilpotent(rng):
-        return [_nilpotent(KForm.differential, _rand_form(rng, carrier))]
-
-    out.append(_sampled(seed, cases, "calculus.forms_nilpotent", forms_nilpotent))
-    return out
+    return _run(seed, cases, [
+        *_prefixed("calculus", identity_check(fam)),
+        ("calculus.connection_closed_form", (), lambda: [
+            fam.connection[k - 1] - XPoly.monomial(n, n - 1, delta_coefficient(n, k))
+            for k in range(1, n)
+        ]),
+        ("calculus.dx_power_differential", (), dx_power_differential),
+        ("calculus.dx_basis_round_trip", (form,),
+         lambda f: [_form_residual(f, from_dx_basis(fam, f.degree, to_dx_basis(f, fam)))]),
+        ("calculus.covariant_matches_graded", (lambda rng: rng.randrange(1, n), xp), covariant),
+        ("calculus.partial_power_rule", (), power_rule),
+        ("calculus.partial_matches_right_derivative", (xp,),
+         lambda r: [partial_derivative(r) - right_derivative(r, x)]),
+        ("calculus.partial_twisted_leibniz", (xp, xp),
+         _twisted_derivation(partial_derivative, carrier.phi)),
+        ("calculus.higher_delta_two_routes", (xp,) * n, lambda *rs: [
+            higher_delta(k, r) - higher_delta_closed(k, r) for k, r in enumerate(rs)
+        ], per_k),
+        ("calculus.higher_delta_derivation", (lambda rng: rng.randrange(n), xp, xp), hd_derivation),
+        ("calculus.higher_delta_matches_covariant", (xp,) * (n - 1), lambda *rs: [
+            higher_delta(k, r) - covariant_operator(fam, k)(r) for k, r in enumerate(rs, 1)
+        ], per_k),
+        ("calculus.dkx_matches_iterated_differential", (), iterated),
+        ("calculus.generator_relation_q_factorial", (), generator_relation),
+        ("calculus.forms_nilpotent", (form,), lambda f: [_nilpotent(KForm.differential, f)]),
+    ])
 
 
 _QUAT_TABLE = {
@@ -443,9 +389,9 @@ _QUAT_TABLE = {
 
 
 def quaternion_suite(seed: int, cases: int) -> list[CheckResult]:
-    out = []
     carrier = quat.CARRIER
     basis = [quat.QUAT_ONE, quat.QUAT_I, quat.QUAT_J, quat.QUAT_K]
+    xp, ext, _ = _samplers(carrier)
 
     bad = None
     for (i, j), (sign, k) in _QUAT_TABLE.items():
@@ -453,37 +399,31 @@ def quaternion_suite(seed: int, cases: int) -> list[CheckResult]:
         if basis[i] * basis[j] != expect:
             bad = (i, j)
             break
-    out.append(CheckResult("quaternion.multiplication_table", bad is None, bad))
 
     def sign_patterns():
-        for signs in range(16):
-            xi = quat.from_quaternion(*(1 if signs & (1 << b) else -1 for b in range(4)))
-            yield _nilpotent(differential, xi)
+        """d**N of the 16 quaternions with every coordinate +-1."""
+        signs = ([1 if s & (1 << b) else -1 for b in range(4)] for s in range(16))
+        return [_nilpotent(differential, quat.from_quaternion(*c)) for c in signs]
 
-    name = "quaternion.differential_nilpotent"
-    sampled = _draws(seed, cases, name, functools.partial(_nilpotent_case, carrier))
-    out.append(_all_zero(name, itertools.chain(sign_patterns(), sampled)))
+    def coordinate(rng):
+        """A coordinate x, which needs a nonzero j part."""
+        x = _rand_xpoly(rng, carrier)
+        return x if x.coeffs[1] else x + carrier.x()
 
-    def operands(rng):
-        """u and a coordinate x, which needs a nonzero j part."""
-        u, x = _rand_xpoly(rng, carrier), _rand_xpoly(rng, carrier)
-        return u, x if x.coeffs[1] else x + carrier.x()
-
-    def second(rng):
-        return [quat.second_right_derivative(*operands(rng))]
-
-    out.append(_sampled(seed, cases, "quaternion.second_derivative_vanishes", second))
-
-    def witness(rng):
-        u, x = operands(rng)
+    def affine(u, x):
         c, d = quat.linear_decomposition(u, x)
         return [u - (x * d + c)]
 
-    out.append(_sampled(seed, cases, "quaternion.affine_decomposition", witness))
-
     fam = build_families(carrier, carrier.x())
-    out.extend(_prefixed("quaternion", identity_check(fam)))
-    return out
+    return _run(seed, cases, [
+        CheckResult("quaternion.multiplication_table", bad is None, bad),
+        ("quaternion.differential_nilpotent", (), sign_patterns),
+        ("quaternion.differential_nilpotent", (ext,), lambda xi: [_nilpotent(differential, xi)]),
+        ("quaternion.second_derivative_vanishes", (xp, coordinate),
+         lambda u, x: [quat.second_right_derivative(u, x)]),
+        ("quaternion.affine_decomposition", (xp, coordinate), affine),
+        *_prefixed("quaternion", identity_check(fam)),
+    ])
 
 
 def run_all(order: int, seed: int = 0, cases: int = 100) -> list[CheckResult]:

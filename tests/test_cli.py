@@ -17,7 +17,16 @@ from hypothesis import strategies as st
 from qgalois import CycScalar, ExtElement, PlaneElement, differential
 from qgalois import verify
 from qgalois.calculus import covariant_operator, partial_derivative, q_plane_families
-from qgalois.cli import EvalError, ParseError, element_json, evaluate, main, parse, xpoly_json
+from qgalois.cli import (
+    MAX_ORDER,
+    EvalError,
+    ParseError,
+    element_json,
+    evaluate,
+    main,
+    parse,
+    xpoly_json,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -191,10 +200,10 @@ def test_main_rejects_bad_orders():
         main(["normalize", "--order", "1", "x"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "--order", "9"])
+        main(["verify", "--order", str(MAX_ORDER + 1)])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
-        main(["tables", "--order", "9"])
+        main(["tables", "--order", str(MAX_ORDER + 1)])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["normalize", "--order", "3000", "x"])

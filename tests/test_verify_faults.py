@@ -357,3 +357,24 @@ def test_verify_fails_the_rows_each_fault_breaks(fault, planted):
     if caught_by is not None:
         with pytest.raises(AssertionError):
             _call_test(caught_by)
+
+
+def test_a_failing_row_keeps_the_operands_that_recompute_its_residual(planted):
+    fault = FAULTS["inverse_times_n"]
+    planted(fault.target, fault.replacement)
+    rows = {r.name: r for r in verify.run_all(5, 0, 3)}
+    row = rows["qplane.x_inverse_round_trip"]
+    ((r, r_inv),) = row.operands
+    assert str(row.residual) == "4" and r * r_inv - XPoly.one(5) == row.residual
+    fixed = rows["calculus.connection_closed_form"]
+    assert not fixed and fixed.operands == ()
+    assert all(r.operands == () for r in rows.values() if r)
+
+
+def test_the_operands_of_a_sampled_extension_row_recompute_its_residual(planted):
+    fault = FAULTS["commutator_by_sum_of_degrees"]
+    planted(fault.target, fault.replacement)
+    row = next(r for r in verify.run_all(4, 0, 3) if r.name == "galois.differential_is_commutator")
+    (xi,) = row.operands
+    assert row.residual == galois.differential(xi) - galois.q_commutator(galois.tau(xi.carrier), xi)
+    assert not row.residual.is_zero()

@@ -9,6 +9,8 @@ so each row still makes the same draws in the same order.
 import hashlib
 import random
 
+import pytest
+
 from qgalois import verify
 
 ROWS_DIGEST = "2837a2f074fa4d2d270631ae61727044a5b9be256d940008d014008cee02f0c4"
@@ -33,3 +35,9 @@ def test_rows_and_their_draws_are_pinned(monkeypatch):
                 states.update(repr(g.getstate()).encode())
             generators.clear()
     assert (rows.hexdigest(), states.hexdigest()) == (ROWS_DIGEST, STATES_DIGEST)
+
+
+@pytest.mark.parametrize("order", range(9, 13))
+def test_every_row_holds_past_order_8(order):
+    rows = verify.run_all(order, 0, 3)
+    assert len(rows) == 40 and all(rows), [r.name for r in rows if not r]

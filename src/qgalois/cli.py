@@ -41,7 +41,7 @@ from .cyclotomic import CycScalar, power
 from .galois import ExtElement, NotInvertible, differential
 from .qplane import PlaneElement, RepMatrix, XPoly, represent
 
-# Every command's largest --order: tier-1 verifies every row up to it; cost grows fast past it.
+# Every command's largest --order: the tests verify every row up to it; cost grows fast past it.
 MAX_ORDER = 12
 # verify's largest --cases: a case costs 0.04-0.06 s CPU at order 12, so a run ends in a minute.
 MAX_CASES = 1000

@@ -4,11 +4,11 @@ Each fault is (target, replacement): ``replacement(original)`` is a wrong
 version of the library function or method ``target`` ("module:name" or
 "module:Class.name"), planted with ``monkeypatch`` wherever qgalois binds it.
 Under it ``run_all(N, seed=0, cases=3)`` must fail exactly the listed rows at
-each order N = 2..5, each row listed with the orders where it fails.  A fault
-that no verify row catches at some order is not hidden: its entry names the
-tier-1 test that does catch it, and that test must fail under the fault.  This
-is mutation testing (DeMillo, Lipton and Sayward, "Hints on test data
-selection", IEEE Computer 11(4), 1978) with the mutants written out by hand.
+each order N = 2..5, each row listed with the orders where it fails.  A gap is
+not hidden: a fault that verify's rows miss names the test in this suite that
+does catch it, and that test must fail under the fault.  This is mutation
+testing (DeMillo, Lipton and Sayward, "Hints on test data selection", IEEE
+Computer 11(4), 1978) with the mutants written out by hand.
 """
 
 import collections
@@ -137,7 +137,7 @@ def _eq_reads_first_part(original):
 ALL = "2345"  # the orders 2..5, one digit each
 
 # A fault: what it replaces, the rows verify fails under it (row -> the orders
-# where it fails), and the tier-1 test that catches it where no row does.
+# where it fails), and the test that catches it where no row does.
 Fault = collections.namedtuple("Fault", "target replacement rows caught_by", defaults=[None])
 
 FAULTS = {
@@ -304,9 +304,9 @@ def _clear_caches():
     """Empty every lru_cache in the library, so nothing computed under one fault outlives it."""
     for module in MODULES:
         for obj in vars(module).values():
-            owners = [getattr(obj, name) for name in vars(obj)] if isinstance(obj, type) else []
-            for f in [obj, *owners]:
-                if isinstance(f, functools._lru_cache_wrapper):
+            members = [getattr(obj, name) for name in vars(obj)] if isinstance(obj, type) else []
+            for f in [obj, *members]:
+                if hasattr(f, "cache_clear"):
                     f.cache_clear()
 
 
@@ -332,7 +332,7 @@ def _failing_rows(order):
 
 
 def _call_test(test_id):
-    """Run one tier-1 test, "file.py::name" or "file.py::name[int]", by calling it."""
+    """Run one test of this suite, "file.py::name" or "file.py::name[int]", by calling it."""
     path, _, rest = test_id.partition("::")
     name, _, param = rest.partition("[")
     test = getattr(importlib.import_module(Path(path).stem), name)

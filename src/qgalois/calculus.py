@@ -92,16 +92,19 @@ def build_families(carrier: XPolyCarrier, x) -> PolyFamilies:
     )
 
 
-def identity_check(fam: PolyFamilies) -> list[CheckResult]:
-    """The two vanishing identities equivalent to d**N = 0; never raises."""
-    c = fam.carrier
-    n = c.order
-    top = fam.dkx[n - 1]
-    twisted_sum = sum((c.phi(fam.dkx[n - 2], j) for j in range(n)), c.zero())
+def vanishing_laws(fam: PolyFamilies) -> list[tuple[str, Callable[[], list]]]:
+    """The two vanishing identities equivalent to d**N = 0, as (name, law) pairs."""
+    c, n = fam.carrier, fam.order
     return [
-        CheckResult("dkx_top_vanishes", not top, top or None),
-        CheckResult("dkx_twisted_sum_vanishes", not twisted_sum, twisted_sum or None),
+        ("dkx_top_vanishes", lambda: [fam.dkx[n - 1]]),
+        ("dkx_twisted_sum_vanishes",
+         lambda: [sum((c.phi(fam.dkx[n - 2], j) for j in range(n)), c.zero())]),
     ]
+
+
+def identity_check(fam: PolyFamilies) -> list[CheckResult]:
+    """The rows of vanishing_laws, each with its residual when it fails; never raises."""
+    return [CheckResult(name, not r, r or None) for name, law in vanishing_laws(fam) for r in law()]
 
 
 def to_dx_basis(form: KForm, fam: PolyFamilies):

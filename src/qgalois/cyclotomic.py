@@ -131,9 +131,6 @@ class Componentwise:
     def __bool__(self) -> bool:
         return any(self._parts)
 
-    def is_zero(self) -> bool:
-        return not self
-
 
 class CycScalar:
     """A scalar in Q(q) with q of multiplicative order ``order``.
@@ -241,9 +238,6 @@ class CycScalar:
 
     def __bool__(self) -> bool:
         return any(self.num)
-
-    def is_zero(self) -> bool:
-        return not self
 
     def __mul__(self, other):
         o = self._coerce(other)

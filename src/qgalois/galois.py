@@ -81,8 +81,8 @@ class KForm:
 
     __hash__ = None
 
-    def is_zero(self) -> bool:
-        return not self.coeff
+    def __bool__(self) -> bool:
+        return bool(self.coeff)
 
     def __repr__(self):
         return f"KForm(degree={self.degree}, coeff={self.coeff!r})"

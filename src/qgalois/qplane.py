@@ -48,6 +48,7 @@ class XPoly(Componentwise):
             if type(c) is not CycScalar or c.order != order:
                 coeffs = tuple(_as_scalar(order, c) for c in coeffs)
                 break
+        sign = operator.index(sign)
         if sign != 1 and sign != -1:
             raise ValueError("sign must be 1 or -1")
         self.order = order
@@ -194,6 +195,7 @@ class XPolyCarrier:
         order = operator.index(order)
         if order < 2:
             raise ValueError("order must be at least 2")
+        tau_sign = operator.index(tau_sign)
         if tau_sign not in (1, -1):
             raise ValueError("tau_sign must be 1 or -1")
         self.order = order

@@ -4,11 +4,12 @@ Every check is exact (zero residual required); randomness only chooses the
 sample points, never the tolerance.  Each suite returns CheckResult rows with
 stable dotted names so that report output is deterministic for a given order.
 
-Each suite is a table of rows (name, draw, law), run by ``_run``.  draw is the
-tuple of samplers that take one case's operands from the row's own generator,
-seeded by (seed, row name), so what one row samples depends on no other row;
-a row with draw () runs its law once, on no operands.  law(*operands) returns
-the residuals, and a failing row keeps the operands its law was called with.
+Every identity is a row (name, draw, law) of a suite's table, run by ``_run``.
+draw is the tuple of samplers that take one case's operands from the row's own
+generator, seeded by (seed, row name), so what one row samples depends on no
+other row; a row with draw () runs its law once, on no operands.
+law(*operands) returns the residuals, and the row fails at the first true one:
+a failing row, fixed or sampled, keeps it and the operands of that call.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ from .calculus import (
     higher_delta,
     higher_delta_closed,
     higher_differential_of_x,
-    identity_check,
     partial_derivative,
     q_plane_families,
     to_dx_basis,
+    vanishing_laws,
 )
 from .cyclotomic import CycScalar, q_factorial, q_integer
 from .galois import (
@@ -128,38 +129,40 @@ def _cases(seed: int, cases: int, name: str, draw):
 
 
 def _check(seed: int, cases: int, name: str, draw, law, count=None) -> CheckResult:
-    """The row ``name``: law returns only zeros on the operands of every case.
+    """The row ``name``: law returns only false residuals on the operands of every case.
 
     count, when given, is the row's own case count in place of ``cases``.
     """
     for operands in _cases(seed, count or cases, name, draw):
         for r in law(*operands):
-            if not r.is_zero():
+            if r:
                 return CheckResult(name, False, r, operands)
     return CheckResult(name, True)
 
 
 def _run(seed: int, cases: int, table) -> list[CheckResult]:
-    """A suite's rows from its table, in order.
+    """A suite's rows from its table of entries (name, draw, law[, count]), in order.
 
-    An entry is a row (name, draw, law[, count]), or a CheckResult kept as it
-    is.  An entry that repeats the name before it goes on with that row, if it
-    has not failed: the row's sampled and fixed parts run in the table's order.
+    An entry that repeats the name before it goes on with that row, if it has
+    not failed: the row's sampled and fixed parts run in the table's order.
     """
     rows = []
     for entry in table:
-        if isinstance(entry, CheckResult):
-            rows.append(entry)
-        elif rows and rows[-1].name == entry[0]:
+        if rows and rows[-1].name == entry[0]:
             rows[-1] = rows[-1] and _check(seed, cases, *entry)
         else:
             rows.append(_check(seed, cases, *entry))
     return rows
 
 
-def _prefixed(prefix: str, rows) -> list[CheckResult]:
-    """The rows renamed into a suite's namespace, prefix.name."""
-    return [CheckResult(f"{prefix}.{r.name}", r.passed, r.residual) for r in rows]
+def _prefixed(prefix: str, laws) -> list[tuple]:
+    """Fixed rows from (name, law) pairs, renamed into a suite's namespace, prefix.name."""
+    return [(f"{prefix}.{name}", (), law) for name, law in laws]
+
+
+def _over(tolerance: float, *errors: float) -> list[float]:
+    """The float errors above tolerance: the residuals of an inexact law."""
+    return [e for e in errors if e > tolerance]
 
 
 def _twisted_derivation(d, sigma):
@@ -202,12 +205,15 @@ def scalar_suite(order: int, seed: int, cases: int) -> list[CheckResult]:
     q = CycScalar.q(order)
     scalar = lambda rng: _rand_scalar(rng, order)
 
-    ok = q ** order == one and all(q ** k != one for k in range(1, order))
-    total = sum((CycScalar.q_power(order, j) for j in range(order)), CycScalar.zero(order))
-    rows = _run(seed, cases, [
-        CheckResult("scalar.q_has_order_n", ok, None if ok else q),
-        CheckResult("scalar.root_powers_sum_to_zero", not total, total or None),
-        CheckResult("scalar.q_integer_n_vanishes", not q_integer(order, order)),
+    return _run(seed, cases, [
+        # q**k by repeated products, independent of the table that q_power reads.
+        ("scalar.q_has_order_n", (), lambda: [
+            q ** order - one, *(q for k in range(1, order) if not q ** k - one)
+        ]),
+        ("scalar.root_powers_sum_to_zero", (), lambda: [
+            sum((CycScalar.q_power(order, j) for j in range(order)), CycScalar.zero(order))
+        ]),
+        ("scalar.q_integer_n_vanishes", (), lambda: [q_integer(order, order)]),
         ("scalar.field_axioms", (scalar,) * 3, lambda a, b, c: [
             (a + b) + c - (a + (b + c)),
             (a * b) * c - (a * (b * c)),
@@ -215,16 +221,13 @@ def scalar_suite(order: int, seed: int, cases: int) -> list[CheckResult]:
             a * b - b * a,
             *([a * a.inverse() - one] if a else []),
         ]),
+        ("scalar.complex_embedding", (scalar, scalar), lambda a, b: _over(
+            1e-10,
+            abs((a * b).embed() - a.embed() * b.embed()),
+            abs((a + b).embed() - (a.embed() + b.embed())),
+        )),
+        ("scalar.complex_embedding", (), lambda: _over(1e-12, abs(q.embed() ** order - 1))),
     ])
-
-    def embedding_errors(a, b):
-        yield abs((a * b).embed() - a.embed() * b.embed())
-        yield abs((a + b).embed() - (a.embed() + b.embed()))
-
-    draws = _cases(seed, cases, "scalar.complex_embedding", (scalar, scalar))
-    worst = max((e for ab in draws for e in embedding_errors(*ab)), default=0.0)
-    ok = worst <= 1e-10 and abs(q.embed() ** order - 1) <= 1e-12
-    return rows + [CheckResult("scalar.complex_embedding", ok, None if ok else worst)]
 
 
 def galois_suite(carrier: XPolyCarrier, seed: int, cases: int) -> list[CheckResult]:
@@ -270,8 +273,8 @@ def qplane_suite(order: int, seed: int, cases: int) -> list[CheckResult]:
     invertible = lambda rng: _rand_invertible(rng, carrier, XPoly.inverse)
 
     return _run(seed, cases, [
-        CheckResult("qplane.generator_relations",
-                    (x * y == (y * x).scale(q)) and (x ** n == one) and (y ** n == one)),
+        ("qplane.generator_relations", (),
+         lambda: [x * y - (y * x).scale(q), x ** n - one, y ** n - one]),
         ("qplane.mul_associative_unital", (ext,) * 3,
          lambda a, b, c: [(a * b) * c - a * (b * c), a * one - a, one * a - a]),
         ("qplane.grading_additive", (form, form), _grading),
@@ -279,17 +282,18 @@ def qplane_suite(order: int, seed: int, cases: int) -> list[CheckResult]:
          lambda r, k: [r * y ** k - ExtElement.from_component(carrier, k, r.twist(k))]),
         ("qplane.x_inverse_round_trip", (invertible,),
          lambda pair: [pair[0] * pair[1] - XPoly.one(n)]),
-        CheckResult("qplane.representation_relations", (
-            xm * ym == (ym * xm).scale(q)
-            and xm ** n == RepMatrix.identity(n)
-            and ym ** n == RepMatrix.identity(n)
-        )),
+        ("qplane.representation_relations", (), lambda: [
+            xm * ym - (ym * xm).scale(q),
+            xm ** n - RepMatrix.identity(n),
+            ym ** n - RepMatrix.identity(n),
+        ]),
         ("qplane.representation_multiplicative", (ext, ext), lambda a, b: [
             represent(a * b) - represent(a) * represent(b),
             represent(a + b) - (represent(a) + represent(b)),
         ]),
-        CheckResult("qplane.representation_faithful",
-                    scalar_rank([m._parts for _, m in sorted(basis_matrices(n).items())]) == n * n),
+        ("qplane.representation_faithful", (), lambda: [
+            n * n - scalar_rank([m._parts for _, m in sorted(basis_matrices(n).items())])
+        ]),
         ("qplane.delta_q_rules", (xp, xp), _twisted_derivation(delta_c, carrier.phi)),
         ("qplane.delta_q_rules", (), lambda: [
             delta_c(m) - m.scale((CycScalar.one(n) - q) * q_integer(k, n))
@@ -352,7 +356,7 @@ def calculus_suite(order: int, seed: int, cases: int) -> list[CheckResult]:
         return out
 
     return _run(seed, cases, [
-        *_prefixed("calculus", identity_check(fam)),
+        *_prefixed("calculus", vanishing_laws(fam)),
         ("calculus.connection_closed_form", (), lambda: [
             fam.connection[k - 1] - XPoly.monomial(n, n - 1, delta_coefficient(n, k))
             for k in range(1, n)
@@ -393,13 +397,6 @@ def quaternion_suite(seed: int, cases: int) -> list[CheckResult]:
     basis = [quat.QUAT_ONE, quat.QUAT_I, quat.QUAT_J, quat.QUAT_K]
     xp, ext, _ = _samplers(carrier)
 
-    bad = None
-    for (i, j), (sign, k) in _QUAT_TABLE.items():
-        expect = basis[k] if sign > 0 else -basis[k]
-        if basis[i] * basis[j] != expect:
-            bad = (i, j)
-            break
-
     def sign_patterns():
         """d**N of the 16 quaternions with every coordinate +-1."""
         signs = ([1 if s & (1 << b) else -1 for b in range(4)] for s in range(16))
@@ -416,13 +413,16 @@ def quaternion_suite(seed: int, cases: int) -> list[CheckResult]:
 
     fam = build_families(carrier, carrier.x())
     return _run(seed, cases, [
-        CheckResult("quaternion.multiplication_table", bad is None, bad),
+        ("quaternion.multiplication_table", (), lambda: [next((
+            (i, j) for (i, j), (sign, k) in _QUAT_TABLE.items()
+            if basis[i] * basis[j] - (basis[k] if sign > 0 else -basis[k])
+        ), None)]),
         ("quaternion.differential_nilpotent", (), sign_patterns),
         ("quaternion.differential_nilpotent", (ext,), lambda xi: [_nilpotent(differential, xi)]),
         ("quaternion.second_derivative_vanishes", (xp, coordinate),
          lambda u, x: [quat.second_right_derivative(u, x)]),
         ("quaternion.affine_decomposition", (xp, coordinate), affine),
-        *_prefixed("quaternion", identity_check(fam)),
+        *_prefixed("quaternion", vanishing_laws(fam)),
     ])
 
 

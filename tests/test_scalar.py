@@ -195,8 +195,8 @@ def test_rational_views():
     with pytest.raises(ValueError):
         q.as_rational()
     assert hash(CycScalar.from_rational(6, Fraction(3, 2))) == hash(Fraction(3, 2))
-    assert CycScalar.zero(6).is_zero()
-    assert not q.is_zero()
+    assert not CycScalar.zero(6)
+    assert q
 
 
 def test_str_forms():

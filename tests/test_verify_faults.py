@@ -14,11 +14,12 @@ Computer 11(4), 1978) with the mutants written out by hand.
 import collections
 import functools
 import importlib
+import json
 from pathlib import Path
 
 import pytest
 
-from qgalois import calculus, cyclotomic, galois, qplane, quaternion, verify
+from qgalois import calculus, cli, cyclotomic, galois, qplane, quaternion, verify
 from qgalois.cyclotomic import CycScalar
 from qgalois.galois import ExtElement, KForm
 from qgalois.qplane import RepMatrix, XPoly
@@ -132,6 +133,10 @@ def _eq_reads_first_part(original):
         return self._parts[:1] == o._parts[:1]
 
     return eq
+
+
+def _rank_one_short(original):
+    return lambda rows: original(rows) - 1
 
 
 ALL = "2345"  # the orders 2..5, one digit each
@@ -288,11 +293,18 @@ FAULTS = {
         "test_qplane.py::test_signed_carrier_identities[3]",
     ),
     "eq_reads_first_part": Fault(
-        # The sampled rows test is_zero, and the rows that call == still pass.
+        # Every row tests the truth value of a residual, which reads no ==.
         "cyclotomic:Componentwise.__eq__",
         _eq_reads_first_part,
         {},
         "test_acceptance.py::test_criterion_05_connection_coherence",
+    ),
+    "rank_one_short": Fault(
+        "qplane:scalar_rank",
+        _rank_one_short,
+        {
+            "qplane.representation_faithful": ALL,
+        },
     ),
 }
 
@@ -377,4 +389,30 @@ def test_the_operands_of_a_sampled_extension_row_recompute_its_residual(planted)
     row = next(r for r in verify.run_all(4, 0, 3) if r.name == "galois.differential_is_commutator")
     (xi,) = row.operands
     assert row.residual == galois.differential(xi) - galois.q_commutator(galois.tau(xi.carrier), xi)
-    assert not row.residual.is_zero()
+    assert row.residual
+
+
+def test_a_failing_fixed_row_reports_its_residual(planted, capsys):
+    fault = FAULTS["rank_one_short"]
+    planted(fault.target, fault.replacement)
+    row = next(r for r in verify.run_all(4, 0, 3) if r.name == "qplane.representation_faithful")
+    assert row.residual == 1 and row.operands == ()
+    assert cli.main(["verify", "--order", "4", "--cases", "3", "--json"]) == 1
+    out = capsys.readouterr().out
+    assert '"identity": "qplane.representation_faithful", "pass": false, "residual": "1"' in out
+    assert json.loads(out)["pass"] is False
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_every_row_runs_through_check(order, monkeypatch):
+    """No row is finished before the table reaches it: _check runs every row
+    of run_all, a row written in parts once for each part."""
+    checked, check = [], verify._check
+
+    def recorded(seed, cases, name, *row):
+        checked.append(name)
+        return check(seed, cases, name, *row)
+
+    monkeypatch.setattr(verify, "_check", recorded)
+    names = [r.name for r in verify.run_all(order, 0, 2)]
+    assert list(dict.fromkeys(checked)) == names

@@ -173,7 +173,7 @@ class CycScalar:
 
     @staticmethod
     def one(order: int) -> CycScalar:
-        return CycScalar.from_rational(order, 1)
+        return CycScalar.q_power(order, 0)
 
     @staticmethod
     def q(order: int) -> CycScalar:
@@ -243,7 +243,7 @@ class CycScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _reduce(self.order, _poly_mul(self.num, o.num), self.den * o.den)
+        return dot(self.order, ((self, o),))
 
     __rmul__ = __mul__
 
@@ -259,17 +259,18 @@ class CycScalar:
     def inverse(self) -> CycScalar:
         """a**-1 = den c / N(num) for a = num / den, c the product of num's conjugates q -> q**k, 1 < k < N.
 
-        Each ``galois(k)`` maps Z[q] onto itself, so it keeps den, and N(num) = num c is an integer.
+        Each ``galois(k)`` maps Z[q] onto itself, so c is integral, and so is N(num) = num c.
         """
         if not self:
             raise ZeroDivisionError("inverse of zero in Q(q)")
-        c = [1]
-        for k in range(2, self.order):
-            if math.gcd(k, self.order) == 1:
-                c = _reduce(self.order, _poly_mul(c, self.galois(k).num)).num
-        norm = _reduce(self.order, _poly_mul(self.num, c)).num[0]
+        n, a = self.order, _reduce(self.order, self.num)  # num, an integral scalar
+        c = CycScalar.one(n)
+        for k in range(2, n):
+            if math.gcd(k, n) == 1:
+                c = dot(n, ((c, a.galois(k)),))
+        norm = dot(n, ((a, c),)).num[0]
         sign = 1 if norm > 0 else -1
-        return _reduce(self.order, [sign * self.den * x for x in c], sign * norm)
+        return _reduce(n, [sign * self.den * x for x in c.num], sign * norm)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -395,15 +396,32 @@ def _poly_divmod(a: list[int], b) -> tuple[list[int], list[int]]:
     return quot, a[:db]
 
 
-def _poly_mul(a, b) -> list[int]:
-    """The product in Z[t] of two ascending int coefficient lists."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
+def dot(order: int, pairs) -> CycScalar:
+    """The sum of a * b over the pairs (a, b) of scalars of this order, reduced once.
+
+    Each product is a convolution of int numerators, neither folded mod Phi_N
+    nor divided by a gcd; the running sum is kept over the lcm of the
+    denominators so far.  ``_reduce`` then acts once, on the total (deferred
+    reduction, as in Dumas, Giorgi and Pernet's FFLAS, ACM TOMS 35(3), 2008).
+    An empty sum is the shared zero.
+    """
+    acc = None
+    for a, b in pairs:
+        d = a.den * b.den
+        if acc is None:
+            acc, den = [0] * (2 * len(a.num) - 1), d
+        elif den % d:
+            s = d // math.gcd(den, d)
+            acc = [c * s for c in acc]
+            den *= s
+        m = den // d
+        for i, x in enumerate(a.num):
+            if x:
+                x *= m
+                for j, y in enumerate(b.num):
+                    if y:
+                        acc[i + j] += x * y
+    return CycScalar.zero(order) if acc is None else _reduce(order, acc, den)
 
 
 def q_integer(k: int, order: int) -> CycScalar:

@@ -19,7 +19,7 @@ import functools
 import operator
 from fractions import Fraction
 
-from .cyclotomic import Componentwise, CycScalar, fold_power, power, render_terms
+from .cyclotomic import Componentwise, CycScalar, dot, fold_power, power, render_terms
 from .galois import ExtElement, NotInvertible
 
 
@@ -102,17 +102,15 @@ class XPoly(Componentwise):
         if not isinstance(other, XPoly):
             c = _scalar(self.order, other)
             return NotImplemented if c is None else self._scaled(c)
-        o = self._coerce(other)
         n = self.order
-        out = [CycScalar.zero(n)] * n
+        right = [(j, b) for j, b in enumerate(self._coerce(other).coeffs) if b]
+        pairs = [[] for _ in range(n)]  # pairs[k]: the products landing on x**k
         for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(o.coeffs):
-                if b:
-                    k, ab = fold_power(n, self.sign, i + j, a * b)
-                    out[k] = out[k] + ab
-        return XPoly(n, out, self.sign)
+            if a:
+                for j, b in right:
+                    k, a_k = fold_power(n, self.sign, i + j, a)
+                    pairs[k].append((a_k, b))
+        return XPoly(n, [dot(n, p) for p in pairs], self.sign)
 
     __rmul__ = __mul__
 
@@ -147,11 +145,7 @@ class XPoly(Componentwise):
         if self.sign < 0:
             raise ValueError("evaluation at q**j needs x**N = 1")
         n = self.order
-        acc = CycScalar.zero(n)
-        for l, c in enumerate(self.coeffs):
-            if c:
-                acc = acc + c * CycScalar.q_power(n, j * l)
-        return acc
+        return dot(n, [(c, CycScalar.q_power(n, j * l)) for l, c in enumerate(self.coeffs) if c])
 
     def inverse(self) -> XPoly:
         """Invert by evaluation at the N roots of x**N - 1, then evaluation again.
@@ -364,22 +358,9 @@ class RepMatrix(Componentwise):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = self.order
-        zero = CycScalar.zero(n)
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = zero
-                for k in range(n):
-                    a = self.entries[i][k]
-                    if a:
-                        b = o.entries[k][j]
-                        if b:
-                            acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return RepMatrix(n, out)
+        n, cols = self.order, list(zip(*o.entries))
+        pairs = ([(a, b) for a, b in zip(r, c) if a and b] for r in self.entries for c in cols)
+        return self._new([dot(n, p) for p in pairs])
 
     def __pow__(self, k: int):
         return power(self, k, RepMatrix.identity(self.order))

@@ -1,7 +1,9 @@
 """Reduced quantum plane: normal forms, grading, inversion, matrix model."""
 
 import copy
+import cProfile
 import pickle
+import pstats
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -24,6 +26,7 @@ from qgalois import (
     tau,
     verify,
 )
+from qgalois.cyclotomic import _reduce
 from qgalois.quaternion import QUAT_I
 from qgalois.qplane import basis_matrices, scalar_rank
 
@@ -224,6 +227,32 @@ def test_represent_is_multiplicative():
             a, b = rand_plane(rng, order), rand_plane(rng, order)
             assert represent(a * b) == represent(a) * represent(b)
             assert represent(a + b) == represent(a) + represent(b)
+
+
+def _calls(task, fn) -> int:
+    """How often ``task()`` calls the function fn, by cProfile, which counts alike on any machine."""
+    profile = cProfile.Profile()
+    profile.runcall(task)
+    code = fn.__code__
+    key = (code.co_filename, code.co_firstlineno, code.co_name)
+    return pstats.Stats(profile).stats.get(key, (0, 0))[1]
+
+
+def _dense_scalar(rng, order):
+    return CycScalar(order, [rng.randint(1, 9) for _ in range(len(CycScalar.zero(order).num))])
+
+
+def test_a_dense_product_reduces_once_per_output_scalar():
+    """Each coefficient of an order-7 XPoly product, and each entry of a matrix
+    product, is one sum of products, folded mod Phi_N once and summed by no scalar +."""
+    rng = random.Random(32)
+    a, b = (XPoly(7, [_dense_scalar(rng, 7) for _ in range(7)]) for _ in range(2))
+    assert _calls(lambda: a * b, _reduce) <= 7
+    assert _calls(lambda: a * b, CycScalar.__add__) == 0
+    rows = ([[_dense_scalar(rng, 7) for _ in range(7)] for _ in range(7)] for _ in range(2))
+    m, w = (represent(PlaneElement(7, r)) for r in rows)
+    assert all(m.entries[i][j] for i in range(7) for j in range(7))
+    assert _calls(lambda: m * w, _reduce) <= 49
 
 
 @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])

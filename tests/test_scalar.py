@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qgalois import CycScalar, cyclotomic_polynomial, q_factorial, q_integer
-from qgalois.cyclotomic import _reduce
+from qgalois.cyclotomic import _reduce, dot
 
 # Ascending coefficients, from the classical table of cyclotomic polynomials.
 KNOWN_CYCLOTOMIC = {
@@ -363,6 +363,49 @@ def test_sums_and_differences_over_unlike_denominators_match_sympy(order):
 def assert_same_form(a, b):
     assert a == b and hash(a) == hash(b) and a.coeffs == b.coeffs
     assert (a.num, a.den) == (b.num, b.den)
+
+
+def dot_operand(rng, order, den, big=False):
+    """A full-degree scalar over exactly den, with 60-digit numerators if big."""
+    span = 10**60 if big else 9
+    nums = [rng.randint(-span, span) for _ in range(len(cyclotomic_polynomial(order)) - 1)]
+    nums[0] = nums[0] // den * den + 1  # prime to den, so nothing cancels
+    return CycScalar(order, [Fraction(c, den) for c in nums])
+
+
+def dot_pairs(rng, order, length):
+    """Pair i: a over 1, 1, 3 or 35 as i mod 4 is 0..3, b zero at i = 2 mod 4 and else integral,
+    60-digit numerators in a at i = 0 mod 3 and in b at i = 1 mod 3.  From four pairs on, the
+    nonzero products run over the denominators 1, 1, 35, 1, 1, 35, ...: equal and unlike."""
+    return [
+        (
+            dot_operand(rng, order, (1, 1, 3, 35)[i % 4], i % 3 == 0),
+            CycScalar.zero(order) if i % 4 == 2 else dot_operand(rng, order, 1, i % 3 == 1),
+        )
+        for i in range(length)
+    ]
+
+
+@pytest.mark.parametrize("order", range(2, 13))
+def test_dot_matches_sympy_reduction_of_the_expanded_sum(order):
+    """The kernel against an independent reference: the sum of products expanded
+    in Q[t] and reduced by sympy's rem, as a scalar built fresh, for 0, 1, N and 2N pairs."""
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    rng = random.Random(6000 + order)
+    for length in (0, 1, order, 2 * order):
+        pairs = dot_pairs(rng, order, length)
+        expanded = sum(sympy_poly(sympy, t, a.coeffs) * sympy_poly(sympy, t, b.coeffs) for a, b in pairs)
+        assert_same_form(dot(order, pairs), sympy_reduced(sympy, t, order, expanded))
+
+
+@pytest.mark.parametrize("order", [2, 5, 7, 8, 12])
+def test_dot_of_no_pairs_is_the_shared_zero(order):
+    """An empty sum allocates nothing; a sum that cancels is zero in its one form."""
+    assert dot(order, []) is CycScalar.zero(order)
+    assert dot(order, iter(())) is CycScalar.zero(order)
+    pairs = dot_pairs(random.Random(order), order, 4)
+    assert_same_form(dot(order, pairs + [(a, -b) for a, b in pairs]), CycScalar.zero(order))
 
 
 @pytest.mark.parametrize("order", range(2, 13))

@@ -73,10 +73,15 @@ def _reduce(order: int, vec, den: int = 1) -> CycScalar:
                 if rj:
                     acc[j] += c * rj
     g = math.gcd(den, *acc)
+    return _form(order, tuple(c // g for c in acc) if g != 1 else tuple(acc), den // g)
+
+
+def _form(order: int, num: tuple[int, ...], den: int) -> CycScalar:
+    """The scalar with these fields, which must already be canonical."""
     out = object.__new__(CycScalar)
     object.__setattr__(out, "order", order)
-    object.__setattr__(out, "num", tuple(c // g for c in acc) if g != 1 else tuple(acc))
-    object.__setattr__(out, "den", den // g)
+    object.__setattr__(out, "num", num)
+    object.__setattr__(out, "den", den)
     return out
 
 
@@ -205,6 +210,10 @@ class CycScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not any(o.num):  # a zero operand leaves the other unfolded, negated for 0 - b
+            return self
+        if not any(self.num):
+            return o if op is operator.add else -o
         a, b, d, e = self.num, o.num, self.den, o.den
         if d != e:
             a = [c * e for c in a]
@@ -225,7 +234,8 @@ class CycScalar:
         return (-self)._combine(other, operator.add)
 
     def __neg__(self):
-        return _reduce(self.order, [-c for c in self.num], self.den)
+        """The negated ints over the same den: still canonical, so no fold and no gcd."""
+        return _form(self.order, tuple(-c for c in self.num), self.den)
 
     def __eq__(self, other) -> bool:
         try:

@@ -16,6 +16,7 @@ evaluates the y-components at the roots of x**N - 1.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from fractions import Fraction
 
@@ -107,9 +108,9 @@ class XPoly(Componentwise):
         pairs = [[] for _ in range(n)]  # pairs[k]: the products landing on x**k
         for i, a in enumerate(self.coeffs):
             if a:
+                wrapped = fold_power(n, self.sign, n, a)[1]  # x**N a; i + j < 2N wraps at most once
                 for j, b in right:
-                    k, a_k = fold_power(n, self.sign, i + j, a)
-                    pairs[k].append((a_k, b))
+                    pairs[(i + j) % n].append((a if i + j < n else wrapped, b))
         return XPoly(n, [dot(n, p) for p in pairs], self.sign)
 
     __rmul__ = __mul__
@@ -406,33 +407,67 @@ def basis_matrices(order: int) -> dict[tuple[int, int], RepMatrix]:
     }
 
 
-def scalar_rank(vectors: list[list[CycScalar]]) -> int:
-    """Rank of a matrix over Q(q) by forward Gaussian elimination.
+@functools.lru_cache(maxsize=None)
+def _modulus(order: int) -> tuple[int, int]:
+    """(p, w): the least prime p > 10**4 with p = 1 mod N, and w of exact order N mod p,
+    a root of Phi_N mod p, so that q -> w is a ring map from Z[q] onto the integers mod p."""
+    p = 10**4 + 1
+    while p % order != 1 or not all(p % d for d in range(2, math.isqrt(p) + 1)):
+        p += 1
+    roots = (pow(g, (p - 1) // order, p) for g in range(2, p))  # each of order dividing N
+    return p, next(w for w in roots if len({pow(w, k, p) for k in range(order)}) == order)
 
-    Only the rows below a pivot are eliminated: the rows above are never
-    searched again.  Row operations touch only the pivot row's nonzero
-    columns: in the others the update e - f*0 would leave e as it is.
-    """
-    rows = [list(v) for v in vectors]
-    if not rows:
+
+def _rank_mod_p(vectors) -> int | None:
+    """The rank of the rows' image mod p under q -> w; None when p divides a denominator."""
+    p, w = _modulus(vectors[0][0].order)
+    ws = [pow(w, m, p) for m in range(len(vectors[0][0].num))]
+    rows = []
+    try:
+        for v in vectors:
+            rows.append(
+                [sum(map(operator.mul, e.num, ws)) * pow(e.den, -1, p) % p if e else 0 for e in v]
+            )
+    except ValueError:  # den has no inverse mod p
+        return None
+    return _eliminate(rows, functools.partial(pow, exp=-1, mod=p), p.__rmod__)
+
+
+def scalar_rank(vectors: list[list[CycScalar]]) -> int:
+    """Rank of a matrix over Q(q).  A full rank mod p is the rank, since a nonzero minor
+    mod p is one over Q(q); any other case, p dividing a denominator too, is eliminated over Q(q)."""
+    if not vectors or not vectors[0]:
         return 0
-    ncols = len(rows[0])
+    full = min(len(vectors), len(vectors[0]))
+    if _rank_mod_p(vectors) == full:
+        return full
+    return _eliminate([list(v) for v in vectors], CycScalar.inverse, lambda e: e)
+
+
+def _eliminate(rows: list[list], inverse, reduce) -> int:
+    """The rank of the rows over a field, by forward Gaussian elimination in place.
+
+    ``inverse`` inverts a nonzero entry and ``reduce`` brings each new entry
+    to its form.  Only the rows below a pivot are eliminated: the rows above
+    are never searched again.  Row operations touch only the pivot row's
+    nonzero columns: in the others the update e - f*0 would leave e as it is.
+    """
     rank = 0
-    for col in range(ncols):
+    for col in range(len(rows[0])):
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         prow = rows[rank]
         support = [j for j, e in enumerate(prow) if e]
-        inv = prow[col].inverse()
+        inv = inverse(prow[col])
         for j in support:
-            prow[j] = inv * prow[j]
+            prow[j] = reduce(inv * prow[j])
         for row in rows[rank + 1 :]:
             f = row[col]
             if f:
                 for j in support:
-                    row[j] = row[j] - f * prow[j]
+                    row[j] = reduce(row[j] - f * prow[j])
         rank += 1
         if rank == len(rows):
             break

@@ -2,6 +2,7 @@
 
 import copy
 import cProfile
+import math
 import pickle
 import pstats
 import random
@@ -28,7 +29,7 @@ from qgalois import (
 )
 from qgalois.cyclotomic import _reduce
 from qgalois.quaternion import QUAT_I
-from qgalois.qplane import basis_matrices, scalar_rank
+from qgalois.qplane import _modulus, basis_matrices, scalar_rank
 
 from samplers import rand_plane, rand_xpoly
 
@@ -255,7 +256,30 @@ def test_a_dense_product_reduces_once_per_output_scalar():
     assert _calls(lambda: m * w, _reduce) <= 49
 
 
-@pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
+def test_a_signed_dense_product_negates_each_left_coefficient_once():
+    """At x**N = -1 a pair wraps past x**N at most once, so each left
+    coefficient is negated at most once, and a negation folds nothing."""
+    rng = random.Random(33)
+    a, b = (XPoly(7, [_dense_scalar(rng, 7) for _ in range(7)], -1) for _ in range(2))
+    assert _calls(lambda: a * b, _reduce) <= 7
+    assert _calls(lambda: a * b, CycScalar.__neg__) <= 7
+    x = XPoly.x(7, -1)
+    assert a * b * x == a * (b * x) and x ** 7 == -XPoly.one(7, -1)
+
+
+def test_a_sparse_sum_reduces_only_where_both_summands_are_nonzero():
+    """A zero summand gives the other scalar back unfolded: x**2 and x**5 are
+    the only powers that both order-8 operands hold."""
+    rng = random.Random(34)
+    a, b = (
+        XPoly(8, [_dense_scalar(rng, 8) if l in support else 0 for l in range(8)])
+        for support in ({0, 2, 5}, {2, 3, 5, 7})
+    )
+    assert _calls(lambda: a + b, _reduce) == _calls(lambda: a - b, _reduce) == 2
+    assert (a + b) - b == a and a - b == a + (-b) and b - a == -(a - b)
+
+
+@pytest.mark.parametrize("order", range(2, 13))
 def test_representation_is_faithful(order):
     """The order^2 basis monomials must stay independent as matrices."""
     mats = basis_matrices(order)
@@ -477,6 +501,47 @@ def test_scalar_rank_matches_dense_elimination_on_random_matrices(order):
     ):
         vectors = rand_matrix(rng, order, nrows, ncols, density)
         assert scalar_rank(vectors) == dense_rank(vectors)
+
+
+@pytest.mark.parametrize("order", range(2, 13))
+def test_the_certificate_proves_the_basis_images_independent(order):
+    """Full rank mod p is the rank over Q(q): no scalar is inverted."""
+    vectors = [m._parts for _, m in sorted(basis_matrices(order).items())]
+    assert _calls(lambda: scalar_rank(vectors), CycScalar.inverse) == 0
+    assert scalar_rank(vectors) == order * order
+
+
+def test_the_certificate_ranks_a_dense_order_11_matrix():
+    """121 x 121 at order 11 with 1/11 of the entries nonzero: elimination
+    over Q(q) ran for minutes here, the certificate inverts no scalar."""
+    vectors = rand_matrix(random.Random(0), 11, 121, 121, 1 / 11)
+    assert _calls(lambda: scalar_rank(vectors), CycScalar.inverse) == 0
+    assert scalar_rank(vectors) == 121
+
+
+@pytest.mark.parametrize("order", [3, 5, 8])
+def test_the_modulus_is_the_least_prime_past_10_4_with_a_root_of_order_n(order):
+    p, w = _modulus(order)
+    assert p > 10**4 and p % order == 1 and all(p % d for d in range(2, math.isqrt(p) + 1))
+    assert not any(c % order == 1 and all(c % d for d in range(2, c)) for c in range(10**4 + 1, p))
+    assert [k for k in range(1, order + 1) if pow(w, k, p) == 1] == [order]  # w has exact order N
+
+
+@pytest.mark.parametrize("order", [2, 5, 7])
+def test_the_rank_over_q_of_q_decides_where_the_certificate_cannot(order):
+    """An entry equal to p drops the rank mod p; an entry over the denominator
+    p has no image mod p.  Either way elimination over Q(q) gives the rank."""
+    p = _modulus(order)[0]
+    zero, one, q = CycScalar.zero(order), CycScalar.one(order), CycScalar.q(order)
+    over_p = CycScalar.from_rational(order, Fraction(1, p))
+    for vectors, rank in (
+        ([[one * p, zero], [zero, q]], 2),
+        ([[one * (p + 1), one], [one, one]], 2),
+        ([[over_p, q], [zero, one]], 2),
+        ([[over_p, q], [over_p * 2, q * 2]], 1),
+    ):
+        assert _calls(lambda: scalar_rank(vectors), CycScalar.inverse) > 0
+        assert scalar_rank(vectors) == dense_rank(vectors) == rank
 
 
 def test_scalar_rank_of_degenerate_input():

@@ -168,7 +168,9 @@ class CycScalar:
 
     @staticmethod
     def from_rational(order: int, value) -> CycScalar:
-        return _reduce(order, *_integral((value,)))
+        """An int, or a Fraction p/q in lowest terms, is already canonical as (p, 0, ..., 0)/q."""
+        (p,), den = _integral((value,))
+        return _form(order, (p,) + (0,) * (_residues(order)[0] - 1), den)
 
     @staticmethod
     @functools.lru_cache(maxsize=None)
@@ -432,6 +434,42 @@ def dot(order: int, pairs) -> CycScalar:
                     if y:
                         acc[i + j] += x * y
     return CycScalar.zero(order) if acc is None else _reduce(order, acc, den)
+
+
+def packed_sums(order: int, left, right, sums: dict) -> dict:
+    """Each sum of sign * left[i] * right[j] * q**e over its terms (i, j, e, sign), by sums' keys.
+
+    Kronecker substitution (Kronecker 1882; Harvey, J. Symbolic Comput. 44(10), 2009): each
+    numerator, over its side's common denominator, is packed once as its value at t = 2**k,
+    k the ``_digit_width``, so q**e is a shift by e*k bits and a product one C big-int multiply.
+    A nonzero sum is unpacked by ``_digits`` and folded once by ``_reduce``."""
+    dl = math.lcm(*(a.den for a in left))
+    dr = math.lcm(*(b.den for b in right))
+    ls = [list(map((dl // a.den).__mul__, a.num)) for a in left]
+    rs = [list(map((dr // b.den).__mul__, b.num)) for b in right]
+    k = _digit_width(ls, rs, max(map(len, sums.values()), default=0) * _residues(order)[0])
+    pl = [sum(c << m * k for m, c in enumerate(v)) for v in ls]
+    pr = [sum(c << m * k for m, c in enumerate(v)) for v in rs]
+    out = {}
+    for key, terms in sums.items():
+        acc = sum(sign * (pl[i] * pr[j] << e * k) for i, j, e, sign in terms)
+        out[key] = _reduce(order, _digits(acc, k), dl * dr) if acc else CycScalar.zero(order)
+    return out
+
+
+def _digit_width(left, right, count: int) -> int:
+    """Bits that hold, with its sign, each digit of a sum of count products of a left and a right digit."""
+    bits = [max((abs(c) for v in side for c in v), default=0).bit_length() for side in (left, right)]
+    return sum(bits) + count.bit_length() + 1
+
+
+def _digits(acc: int, k: int) -> list[int]:
+    """The signed base-2**k digits of acc, lowest first; a negative digit borrows 1 from the next."""
+    out, mask, half = [], (1 << k) - 1, 1 << (k - 1)
+    while acc:
+        out.append(((acc + half) & mask) - half)
+        acc = (acc - out[-1]) >> k
+    return out
 
 
 def q_integer(k: int, order: int) -> CycScalar:

@@ -16,7 +16,9 @@ module reads from it ``order`` (N), ``tau_sign`` (s), ``zero()``, ``one()``,
 ``phi(u, k=1)`` (phi**k, any integer k), ``invert(u)`` (raises NotInvertible
 when there is no inverse), ``q_element(k)`` (the scalar q**k, acting through
 ``u * q_element(k)``), ``element(components)``, which builds every extension
-element, and ``coerce(value)``, a component, coefficient, coordinate or
+element, ``product(left, right)``, the components of the product of two elements
+from theirs (the one twisted product, for ``ExtElement`` and ``KForm``), and
+``coerce(value)``, a component, coefficient, coordinate or
 operand as a carrier element (a TypeError or ValueError when it is none; an
 operand is embedded as the tau**0 component).  ``verify``'s galois suite also
 reads ``basis()``, a basis over the scalars Q(q), and nothing else.  Carrier
@@ -58,13 +60,15 @@ class KForm:
         self.degree, self.coeff = fold_power(carrier.order, carrier.tau_sign, degree, coeff)
 
     def __mul__(self, other: KForm) -> KForm:
-        """(tau**a u)(tau**b v) = tau**(a+b) phi**b(u) v."""
+        """(tau**a u)(tau**b v) = tau**(a+b) phi**b(u) v, the carrier's ``product``."""
         if not isinstance(other, KForm):
             return NotImplemented
         if self.carrier != other.carrier:
             raise ValueError("forms live over different carriers")
-        c = self.carrier
-        return KForm(c, self.degree + other.degree, c.phi(self.coeff, other.degree) * other.coeff)
+        c, k = self.carrier, (self.degree + other.degree) % self.carrier.order
+        left, right = [c.zero()] * c.order, [c.zero()] * c.order
+        left[self.degree], right[other.degree] = self.coeff, other.coeff
+        return KForm(c, k, c.product(left, right)[k])
 
     def differential(self) -> KForm:
         """d(tau**k u) = tau**(k+1) (u - q**k phi(u))."""
@@ -161,8 +165,7 @@ class ExtElement(Componentwise):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        right = o.forms()
-        return ExtElement.from_forms(self.carrier, (a * b for a in self.forms() for b in right))
+        return self.carrier.element(self.carrier.product(self.components, o.components))
 
     def __rmul__(self, other) -> ExtElement:
         o = self._coerce(other)

@@ -20,7 +20,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .cyclotomic import Componentwise, CycScalar, dot, fold_power, power, render_terms
+from .cyclotomic import Componentwise, CycScalar, dot, fold_power, packed_sums, power, render_terms
 from .galois import ExtElement, NotInvertible
 
 
@@ -211,6 +211,24 @@ class XPolyCarrier:
 
     def q_element(self, k: int):
         return CycScalar.q_power(self.order, k)
+
+    def product(self, left, right) -> tuple[XPoly, ...]:
+        """The component tuple of (sum_a tau**a u_a)(sum_b tau**b v_b), one ``packed_sums``:
+        c x**i in u_a times d x**j in v_b is q**(b i) c d tau**(a+b) x**(i+j), as x**i tau**b =
+        tau**b phi**b(x**i), and each of the two powers folds by ``fold_power``."""
+        n, s = self.order, self.tau_sign
+        lt = [(a, i, c) for a, u in enumerate(left) for i, c in enumerate(u.coeffs) if any(c.num)]
+        rt = [(b, j, c) for b, v in enumerate(right) for j, c in enumerate(v.coeffs) if any(c.num)]
+        fold = [fold_power(n, s, m, 1) for m in range(2 * n - 1)]
+        sums = {}  # sums[k, l]: the terms landing on tau**k x**l
+        for p, (a, i, _) in enumerate(lt):
+            for r, (b, j, _) in enumerate(rt):
+                (k, sk), (l, sl) = fold[a + b], fold[i + j]
+                sums.setdefault((k, l), []).append((p, r, b * i % n, sk * sl))
+        lc, rows, zero = [t[2] for t in lt], {}, self.zero()
+        for (k, l), c in packed_sums(n, lc, [t[2] for t in rt], sums).items():
+            rows.setdefault(k, [CycScalar.zero(n)] * n)[l] = c
+        return tuple(XPoly(n, rows[k], s) if k in rows else zero for k in range(n))
 
     def element(self, components) -> ExtElement:
         """A ``PlaneElement`` at sign 1, a plain ``ExtElement`` at sign -1."""

@@ -25,6 +25,7 @@ CONTRACT = (
     "invert",
     "q_element",
     "element",
+    "product",
     "coerce",
     "basis",
 )

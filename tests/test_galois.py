@@ -6,6 +6,7 @@ it.  The sign case tau^N = x^N = -1 is exercised through the quaternions in
 test_quaternion.py and the signed carrier in test_qplane.py.
 """
 
+import functools
 import random
 from fractions import Fraction
 
@@ -154,6 +155,67 @@ def test_ext_mul_is_associative_and_unital():
             assert (a * b) * d == a * (b * d)
             assert a * one == a
             assert one * a == a
+
+
+def phi_product(left, right):
+    """The twisted product by its definition, (tau**a u)(tau**b v) = tau**(a+b) phi**b(u) v,
+    one carrier product per pair of components: the oracle of the packed product."""
+    c = left.carrier
+    return ExtElement.from_forms(c, (
+        KForm(c, a + b, c.phi(u, b) * v)
+        for a, u in enumerate(left.components)
+        for b, v in enumerate(right.components)
+    ))
+
+
+def _stored(xi):
+    """Every coefficient of xi as its stored (num, den)."""
+    return [(s.num, s.den) for u in xi.components for s in u.coeffs]
+
+
+def _product_operands(rng, c):
+    """Pairs of each kind the packed product takes: verify's sparse draws, dense operands,
+    60-digit numerators, unlike denominators and all-negative digits, the last three with
+    zero components, and a zero operand."""
+    n, deg = c.order, len(CycScalar.zero(c.order).num)
+
+    def element(top, den, sign=lambda: rng.choice((-1, 1)), fill=1.0):
+        def scalar():
+            digits = (Fraction(sign() * rng.randint(1, top), rng.randint(1, den)) for _ in range(deg))
+            return CycScalar(n, list(digits))
+
+        rows = [XPoly(n, [scalar() for _ in range(n)], c.tau_sign) for _ in range(n)]
+        return c.element(u if rng.random() < fill else c.zero() for u in rows)
+
+    yield verify._rand_ext(rng, c), verify._rand_ext(rng, c)
+    yield element(9, 1), element(9, 1)
+    yield element(10**60, 1, fill=0.5), element(10**60, 3, fill=0.5)
+    yield element(9, 40, fill=0.5), element(10**6, 40, fill=0.5)
+    yield element(9, 4), ExtElement.zero(c)
+    negative = functools.partial(element, 10**20, 6, sign=lambda: -1, fill=0.5)
+    yield negative(), negative()
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("order", range(2, 13))
+def test_the_packed_product_is_the_phi_rule(order, sign):
+    c = XPolyCarrier(order, sign)
+    rng = random.Random(order * sign)
+    as_ext = functools.partial(ExtElement.from_forms, c)
+    for left, right in _product_operands(rng, c):
+        assert _stored(left * right) == _stored(phi_product(left, right))
+        for f, g in zip(left.forms()[:1], right.forms()[-1:]):  # a product of two forms
+            assert _stored(as_ext([f * g])) == _stored(phi_product(as_ext([f]), as_ext([g])))
+
+
+def test_the_packed_product_fills_its_digit_width():
+    """Every coefficient -(2**199 - 1)(1 + q + q**2 + q**3) at order 5: one packed digit
+    reaches 67 of the 100 products the width allows for, more than half its range."""
+    n = 5
+    c = XPolyCarrier(n)
+    top = CycScalar(n, [-(2**199 - 1)] * 4)
+    w = c.element([XPoly(n, [top] * n)] * n)
+    assert _stored(w * w) == _stored(phi_product(w, w))
 
 
 def test_grading_is_additive_mod_n():

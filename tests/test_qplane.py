@@ -27,7 +27,7 @@ from qgalois import (
     tau,
     verify,
 )
-from qgalois.cyclotomic import _reduce
+from qgalois.cyclotomic import _reduce, dot
 from qgalois.quaternion import QUAT_I
 from qgalois.qplane import _modulus, basis_matrices, scalar_rank
 
@@ -254,6 +254,17 @@ def test_a_dense_product_reduces_once_per_output_scalar():
     m, w = (represent(PlaneElement(7, r)) for r in rows)
     assert all(m.entries[i][j] for i in range(7) for j in range(7))
     assert _calls(lambda: m * w, _reduce) <= 49
+
+
+def test_a_dense_plane_product_folds_once_per_output_coefficient():
+    """The 49 coefficients of a dense order-7 plane product are one packed pass:
+    49 folds and no ``dot``, where a product form by form made 931 and 637."""
+    rng = random.Random(35)
+    rows = ([[_dense_scalar(rng, 7) for _ in range(7)] for _ in range(7)] for _ in range(2))
+    a, b = (PlaneElement(7, r) for r in rows)
+    assert all(c for u in (a * b).components for c in u.coeffs)
+    assert _calls(lambda: a * b, _reduce) == 49
+    assert _calls(lambda: a * b, dot) == 0
 
 
 def test_a_signed_dense_product_negates_each_left_coefficient_once():

@@ -442,9 +442,27 @@ def test_a_zero_operand_and_negation_fold_nothing(order):
         assert (code.co_filename, code.co_firstlineno, "_reduce") not in pstats.Stats(profile).stats
 
 
+@pytest.mark.parametrize("order", [2, 5, 7, 8, 12])
+def test_a_rational_is_built_canonical_without_a_fold(order):
+    """An int, or a Fraction p/q in lowest terms, is (p, 0, ..., 0)/q already;
+    ``a + 0`` coerces its 0 through ``from_rational`` without a fold too."""
+    values = [0, 1, -4, 2**70, Fraction(3, 2), Fraction(-5, 12), True]
+    a = CycScalar.q(order)
+    profile = cProfile.Profile()
+    profile.enable()
+    built = [CycScalar.from_rational(order, v) for v in values] + [a + 0, 0 - a]
+    profile.disable()
+    for v, b in zip(values, built):
+        assert_same_form(b, _reduce(order, [Fraction(v).numerator], Fraction(v).denominator))
+    assert built[-2] is a and built[-1] == -a
+    code = _reduce.__code__
+    assert (code.co_filename, code.co_firstlineno, "_reduce") not in pstats.Stats(profile).stats
+
+
 def test_a_warm_verify_run_at_order_8_reduces_at_most_6000_times():
     """Most of verify's scalar sums have a zero operand: 15,399 folds when each
-    ran ``_reduce``, 5,520 when they do not.  cProfile counts alike on any machine."""
+    ran ``_reduce``, 5,520 when they do not, and 5,070 with the extension's
+    product in one packed pass.  cProfile counts alike on any machine."""
     verify.run_all(8, 0, 3)  # warm: the per-order caches are filled
     profile = cProfile.Profile()
     profile.runcall(verify.run_all, 8, 0, 3)

@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from qgalois import calculus, cli, cyclotomic, galois, qplane, quaternion, verify
-from qgalois.cyclotomic import CycScalar
+from qgalois.cyclotomic import CycScalar, fold_power
 from qgalois.galois import ExtElement, KForm
 from qgalois.qplane import RepMatrix, XPoly
 
@@ -41,13 +41,17 @@ def _d_one_power_too_high(original):
 
 
 def _form_product_twists_by_left_degree(original):
-    def mul(self, other):
-        if not isinstance(other, KForm):
-            return original(self, other)
-        c = self.carrier
-        return KForm(c, self.degree + other.degree, c.phi(self.coeff, self.degree) * other.coeff)
+    """(tau**a u)(tau**b v) = tau**(a+b) phi**a(u) v: the twist by the left degree."""
 
-    return mul
+    def product(self, left, right):
+        out = [self.zero()] * self.order
+        for a, u in enumerate(left):
+            for b, v in enumerate(right):
+                k, w = fold_power(self.order, self.tau_sign, a + b, self.phi(u, a) * v)
+                out[k] = out[k] + w
+        return tuple(out)
+
+    return product
 
 
 def _inverse_times_n(original):
@@ -76,14 +80,13 @@ def _closed_delta_off_at_top_degree(original):
 
 
 def _product_reads_first_right_form(original):
-    def mul(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        right = o.forms()[:1]
-        return ExtElement.from_forms(self.carrier, (a * b for a in self.forms() for b in right))
+    """The product reads the right operand's first nonzero component alone."""
 
-    return mul
+    def product(self, left, right):
+        first = next((b for b, v in enumerate(right) if v), 0)
+        return original(self, left, [v if b == first else self.zero() for b, v in enumerate(right)])
+
+    return product
 
 
 def _represent_at_positive_powers(original):
@@ -138,6 +141,20 @@ def _dot_keeps_first_denominator(original):
         return CycScalar.zero(order) if acc is None else cyclotomic._reduce(order, acc, den)
 
     return dot
+
+
+def _digit_width_one_bit_short(original):
+    return lambda *args: original(*args) - 1
+
+
+def _digits_drop_the_borrow(original):
+    """The unpacking reads a digit as negative but does not borrow 1 from the next one."""
+
+    def digits(acc, k):
+        out = original(acc, k)
+        return [d - (below < 0) for below, d in zip([0, *out], out)]
+
+    return digits
 
 
 def _fold_ignores_sign(original):
@@ -196,7 +213,7 @@ FAULTS = {
         },
     ),
     "form_product_twists_by_left_degree": Fault(
-        "galois:KForm.__mul__",
+        "qplane:XPolyCarrier.product",
         _form_product_twists_by_left_degree,
         {
             "galois.differential_is_commutator": ALL,
@@ -250,7 +267,7 @@ FAULTS = {
         },
     ),
     "product_reads_first_right_form": Fault(
-        "galois:ExtElement.__mul__",
+        "qplane:XPolyCarrier.product",
         _product_reads_first_right_form,
         {
             "galois.extension_associative": "345",
@@ -276,13 +293,11 @@ FAULTS = {
             "calculus.partial_twisted_leibniz": "45",
             "galois.conjugation_multiplicative": "4",
             "galois.delta_product_rule": "45",
-            "galois.extension_associative": "45",
+            "galois.differential_is_commutator": "45",
             "galois.phi_has_order_n": "4",
             "galois.q_leibniz": "45",
             "galois.twisted_leibniz": "45",
             "qplane.delta_q_rules": "45",
-            "qplane.mul_associative_unital": "45",
-            "qplane.representation_multiplicative": "4",
         },
     ),
     "scalar_product_off_at_order_5": Fault(
@@ -306,14 +321,13 @@ FAULTS = {
             "galois.delta_product_rule": "5",
             "galois.differential_is_commutator": "5",
             "galois.differential_nilpotent": "5",
-            "galois.extension_associative": "5",
             "galois.phi_has_order_n": "5",
             "galois.q_leibniz": "5",
             "galois.twisted_leibniz": "5",
             "qplane.delta_q_rules": "5",
-            "qplane.mul_associative_unital": "5",
             "qplane.representation_multiplicative": "5",
             "qplane.representation_relations": "5",
+            "qplane.twist_transport": "5",
             "qplane.x_inverse_round_trip": "5",
             "scalar.complex_embedding": "5",
             "scalar.field_axioms": "5",
@@ -325,12 +339,29 @@ FAULTS = {
         {
             "calculus.higher_delta_derivation": "345",
             "galois.change_of_variable_chain": "345",
-            "galois.extension_associative": ALL,
-            "galois.q_leibniz": "2",
             "qplane.delta_q_rules": "45",
-            "qplane.mul_associative_unital": "345",
             "qplane.representation_multiplicative": ALL,
             "qplane.x_inverse_round_trip": ALL,
+        },
+    ),
+    "digit_width_one_bit_short": Fault(
+        # The width's bound is loose for verify's small operands: only a sum
+        # that fills more than half of it wraps a digit one bit short.
+        "cyclotomic:_digit_width",
+        _digit_width_one_bit_short,
+        {},
+        "test_galois.py::test_the_packed_product_fills_its_digit_width",
+    ),
+    "digits_drop_the_borrow": Fault(
+        "cyclotomic:_digits",
+        _digits_drop_the_borrow,
+        {
+            "galois.differential_is_commutator": "345",
+            "galois.extension_associative": ALL,
+            "galois.q_leibniz": "345",
+            "qplane.mul_associative_unital": "345",
+            "qplane.representation_multiplicative": "345",
+            "qplane.twist_transport": "35",
         },
     ),
     "fold_ignores_sign": Fault(

@@ -17,7 +17,7 @@ module reads from it ``order`` (N), ``tau_sign`` (s), ``zero()``, ``one()``,
 when there is no inverse), ``q_element(k)`` (the scalar q**k, acting through
 ``u * q_element(k)``), ``element(components)``, which builds every extension
 element, ``product(left, right)``, the components of the product of two elements
-from theirs (the one twisted product, for ``ExtElement`` and ``KForm``), and
+from theirs (the one twisted product, for ``ExtElement``), and
 ``coerce(value)``, a component, coefficient, coordinate or
 operand as a carrier element (a TypeError or ValueError when it is none; an
 operand is embedded as the tau**0 component).  ``verify``'s galois suite also
@@ -58,17 +58,6 @@ class KForm:
         self.carrier = carrier
         coeff = carrier.coerce(coeff)
         self.degree, self.coeff = fold_power(carrier.order, carrier.tau_sign, degree, coeff)
-
-    def __mul__(self, other: KForm) -> KForm:
-        """(tau**a u)(tau**b v) = tau**(a+b) phi**b(u) v, the carrier's ``product``."""
-        if not isinstance(other, KForm):
-            return NotImplemented
-        if self.carrier != other.carrier:
-            raise ValueError("forms live over different carriers")
-        c, k = self.carrier, (self.degree + other.degree) % self.carrier.order
-        left, right = [c.zero()] * c.order, [c.zero()] * c.order
-        left[self.degree], right[other.degree] = self.coeff, other.coeff
-        return KForm(c, k, c.product(left, right)[k])
 
     def differential(self) -> KForm:
         """d(tau**k u) = tau**(k+1) (u - q**k phi(u))."""
@@ -152,7 +141,7 @@ class ExtElement(Componentwise):
             self._check(other)
             return other
         try:
-            return ExtElement.embed(self.carrier, self.carrier.coerce(other))
+            return ExtElement.embed(self.carrier, other)
         except TypeError:
             return None
 
@@ -207,19 +196,18 @@ def tau(carrier: XPolyCarrier, power: int = 1) -> ExtElement:
 
 
 def q_commutator(v: ExtElement, u: ExtElement) -> ExtElement:
-    """Graded q-commutator [v, u]_q: a b - q**(|a||b|) b a summed over the forms a of v, b of u."""
+    """Graded q-commutator [v, u]_q: a b - q**(|a||b|) b a summed over the forms a of v, b of u.
+
+    Summed over b first, it is v u minus theta_a(u) a for each form a of v, where theta_a(u)
+    is u with its component b scaled by q**(|a| b): 1 + len(v.forms()) extension products.
+    """
     v._check(u)
     c = v.carrier
-    right = u.forms()
-
-    def terms():
-        for a in v.forms():
-            for b in right:
-                yield a * b
-                ba = b * a
-                yield KForm(c, ba.degree, ba.coeff * -c.q_element(a.degree * b.degree))
-
-    return ExtElement.from_forms(c, terms())
+    out = v * u
+    for a in v.forms():
+        theta = c.element(w * c.q_element(a.degree * b) for b, w in enumerate(u.components))
+        out -= theta * ExtElement.from_forms(c, [a])
+    return out
 
 
 def differential(xi: ExtElement) -> ExtElement:

@@ -18,7 +18,6 @@ import pytest
 from qgalois import (
     Coordinate,
     CycScalar,
-    ExtElement,
     KForm,
     NonInvertibleCoordinate,
     PlaneElement,
@@ -189,19 +188,6 @@ def test_dx_basis_round_trip():
             form = KForm(fam.carrier, k, u)
             r = to_dx_basis(form, fam)
             assert from_dx_basis(fam, k, r) == form
-
-
-def test_form_products_respect_the_twist():
-    # (tau^a u)(tau^b v) moves u across tau^b; compare against ExtElement
-    rng = random.Random(137)
-    for order in (2, 3, 4):
-        c = XPolyCarrier(order)
-        for _ in range(10):
-            a, b = rng.randrange(order), rng.randrange(order)
-            u, v = rand_xpoly(rng, order), rand_xpoly(rng, order)
-            form = KForm(c, a, u) * KForm(c, b, v)
-            ext = ExtElement.from_component(c, a, u) * ExtElement.from_component(c, b, v)
-            assert ext.component((a + b) % order) == form.coeff
 
 
 def test_covariant_operator_matches_the_graded_route():

@@ -112,7 +112,9 @@ def test_components_and_coefficients_are_coerced_through_the_carrier():
     fam = q_plane_families(3)
     c = fam.carrier
     assert not from_dx_basis(fam, 0, 3).differential()
-    assert KForm(c, 1, 2) * KForm(c, 1, c.x()) == KForm(c, 2, c.x().scale(2))
+    as_ext = functools.partial(ExtElement.from_forms, c)
+    two_x = as_ext([KForm(c, 2, c.x().scale(2))])
+    assert as_ext([KForm(c, 1, 2)]) * as_ext([KForm(c, 1, c.x())]) == two_x
 
 
 def test_scale_uses_only_the_carrier_product():
@@ -201,11 +203,8 @@ def _product_operands(rng, c):
 def test_the_packed_product_is_the_phi_rule(order, sign):
     c = XPolyCarrier(order, sign)
     rng = random.Random(order * sign)
-    as_ext = functools.partial(ExtElement.from_forms, c)
     for left, right in _product_operands(rng, c):
         assert _stored(left * right) == _stored(phi_product(left, right))
-        for f, g in zip(left.forms()[:1], right.forms()[-1:]):  # a product of two forms
-            assert _stored(as_ext([f * g])) == _stored(phi_product(as_ext([f]), as_ext([g])))
 
 
 def test_the_packed_product_fills_its_digit_width():
@@ -253,7 +252,7 @@ def pairwise_q_commutator(v, u):
 
 
 @pytest.mark.parametrize("sign", [1, -1])
-@pytest.mark.parametrize("order", range(2, 7))
+@pytest.mark.parametrize("order", range(2, 13))
 def test_q_commutator_matches_the_pairwise_product_formula(order, sign):
     c = XPolyCarrier(order, sign)
     rng = random.Random(70 + order)

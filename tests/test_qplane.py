@@ -23,6 +23,7 @@ from qgalois import (
     build_families,
     generator_matrices,
     identity_check,
+    q_commutator,
     represent,
     tau,
     verify,
@@ -265,6 +266,19 @@ def test_a_dense_plane_product_folds_once_per_output_coefficient():
     assert all(c for u in (a * b).components for c in u.coeffs)
     assert _calls(lambda: a * b, _reduce) == 49
     assert _calls(lambda: a * b, dot) == 0
+
+
+def test_a_tau_commutator_makes_two_packed_products():
+    """[tau, xi]_q is tau xi minus theta_1(xi) tau, xi with its component b scaled by q**b:
+    two ``XPolyCarrier.product`` calls at order 8, for xi of one form or of two."""
+    c = XPolyCarrier(8)
+    rng = random.Random(36)
+    one = ExtElement.from_component(c, 3, rand_xpoly(rng, 8))
+    two = one + ExtElement.from_component(c, 6, rand_xpoly(rng, 8))
+    t = tau(c)
+    for xi, forms in ((one, 1), (two, 2)):
+        assert len(xi.forms()) == forms
+        assert _calls(lambda: q_commutator(t, xi), XPolyCarrier.product) == 2
 
 
 def test_a_signed_dense_product_negates_each_left_coefficient_once():

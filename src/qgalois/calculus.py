@@ -42,8 +42,8 @@ class CheckResult:
 
 
 class PolyFamilies:
-    """The families of one coordinate; every inverse comes from its one
-    Delta(x)**-1 = coordinate.delta_inv = dx_pow_inv[0] by phi-transport."""
+    """The families of one coordinate; dx_pow_inv[0] is its
+    Delta(x)**-1 = coordinate.delta_inv, and the other inverse powers come from Q_N**-1."""
 
     def __init__(self, coordinate: Coordinate, dkx, dx_pow, dx_pow_inv, connection):
         self.coordinate = coordinate
@@ -62,21 +62,23 @@ class PolyFamilies:
 
 
 def build_families(carrier: XPolyCarrier, x) -> PolyFamilies:
-    """All families from one inversion of Delta(x); raises
+    """All families from the inversions of Delta(x) and of Q_N; raises
     NonInvertibleCoordinate when Delta(x) has no inverse.
 
-    phi**N = id makes phi an automorphism, so each phi**k(Delta(x)) is invertible
-    with inverse phi**k(Delta(x)**-1): Q_{k+1}**-1 = Delta(x)**-1 phi(Q_k**-1).
+    phi**N = id makes phi an automorphism, so Q_N = phi**k(Q_{N-k}) Q_k for each
+    k, and Q_k**-1 = Q_N**-1 phi**k(Q_{N-k}) with Q_0 = 1.  Q_N, the norm of
+    Delta(x), is phi-invariant, so a constant, and its inverse is cheap.
     """
     n = carrier.order
     coord = Coordinate(carrier, x)
     dx, dx_inv = coord.delta_x, coord.delta_inv
 
-    dx_pow, dx_pow_inv, dkx = [dx], [dx_inv], [dx]
+    dx_pow, dkx = [dx], [dx]
     for k in range(1, n):
         dx_pow.append(carrier.phi(dx_pow[-1]) * dx)
-        dx_pow_inv.append(dx_inv * carrier.phi(dx_pow_inv[-1]))
         dkx.append(dkx[-1] - carrier.phi(dkx[-1]) * carrier.q_element(k))
+    qn_inv = carrier.invert(dx_pow[-1])
+    dx_pow_inv = [dx_inv, *(qn_inv * carrier.phi(dx_pow[-1 - k], k) for k in range(2, n)), qn_inv]
 
     phi1 = dx_pow_inv[1] * dkx[1]
     connection = [phi1]

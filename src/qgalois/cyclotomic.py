@@ -94,7 +94,8 @@ class Componentwise:
     element of the same space with those coefficients; and ``_coerce(other)``,
     which returns ``other`` as such an element, None for a foreign operand
     (the operator then returns NotImplemented), and raises ValueError for an
-    element of another order or carrier (which ``==`` reads as unequal).
+    element of another order or carrier (which ``==`` reads as unequal).  A zero
+    part of the right operand of a sum or difference leaves the left part as it is.
     """
 
     __slots__ = ()
@@ -103,7 +104,7 @@ class Componentwise:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._new(tuple(map(operator.add, self._parts, o._parts)))
+        return self._new(tuple(a + b if b else a for a, b in zip(self._parts, o._parts)))
 
     __radd__ = __add__
 
@@ -114,7 +115,7 @@ class Componentwise:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._new(tuple(map(operator.sub, self._parts, o._parts)))
+        return self._new(tuple(a - b if b else a for a, b in zip(self._parts, o._parts)))
 
     def __rsub__(self, other):
         o = self._coerce(other)

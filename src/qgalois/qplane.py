@@ -18,9 +18,8 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from fractions import Fraction
 
-from .cyclotomic import Componentwise, CycScalar, dot, fold_power, packed_sums, power, render_terms
+from .cyclotomic import Componentwise, CycScalar, _reduce, dot, fold_power, packed_sums, power, render_terms
 from .galois import ExtElement, NotInvertible
 
 
@@ -139,20 +138,18 @@ class XPoly(Componentwise):
         )
 
     def evaluate_at_q_power(self, j: int) -> CycScalar:
-        """Value at x = q**j; x**N = 1 splits over Q(q) with these roots.
+        """Value at x = q**j, one of ``_root_values``; x**N = 1 splits over Q(q) with these roots.
 
         Raises ValueError at sign -1: q**j is no root of x**N + 1.
         """
-        if self.sign < 0:
-            raise ValueError("evaluation at q**j needs x**N = 1")
-        n = self.order
-        return dot(n, [(c, CycScalar.q_power(n, j * l)) for l, c in enumerate(self.coeffs) if c])
+        return _root_values([self])[0][j % self.order]
 
     def inverse(self) -> XPoly:
         """Invert by evaluation at the N roots of x**N - 1, then evaluation again.
 
-        Coefficient l of the inverse is W(q**-l) / N, W having the inverted values
-        as coefficients.  A zero value means a zero divisor: NotInvertible is raised.
+        Coefficient l of the inverse is W(q**-l) / N, W having the inverted values (each
+        distinct one inverted once) as coefficients.  A zero value means a zero divisor:
+        NotInvertible is raised.
         At sign -1 (x**N + 1 need not split over Q(q)) the inverse is c / (u c)
         with c = twist(1) ... twist(N-1): the norm u c is twist-invariant, so a
         scalar, and it is zero exactly when u is a zero divisor.
@@ -164,12 +161,11 @@ class XPoly(Componentwise):
             if not norm:
                 raise NotInvertible("element is a zero divisor")
             return c.scale(norm.inverse())
-        values = [self.evaluate_at_q_power(j) for j in range(n)]
+        (values,) = _root_values([self])
         if not all(values):
             raise NotInvertible("element vanishes at a root of x**N - 1")
-        w = XPoly(n, (v.inverse() for v in values))
-        inv_n = CycScalar.from_rational(n, Fraction(1, n))
-        return XPoly(n, (inv_n * w.evaluate_at_q_power(-l) for l in range(n)))
+        inverse = {v: v.inverse() for v in set(values)}
+        return XPoly(n, _root_values([XPoly(n, map(inverse.get, values))], -1, n)[0])
 
     def __str__(self):
         return render_terms((c, (("x", l),)) for l, c in enumerate(self.coeffs))
@@ -400,13 +396,34 @@ def represent(w: PlaneElement) -> RepMatrix:
 
     Y**k X**l has the single entry q**(-j l) in column j, row j - k, so the
     image of w = sum_k y**k u_k(x) has entry (i, j) = u_(j-i)(q**-j): the
-    components evaluated at the roots of x**N - 1.  At tau**N = x**N = -1,
-    where this formula does not hold, the evaluation raises ValueError.
+    components evaluated at the roots of x**N - 1 by ``_root_values``.  At tau**N =
+    x**N = -1, where this formula does not hold, the evaluation raises ValueError.
     """
     n = w.carrier.order
-    rows = (map(w.component, range(-i, n - i)) for i in range(n))  # u_(j-i) in column j
-    roots = range(0, -n, -1)  # column j evaluates at q**-j
-    return RepMatrix(n, (map(XPoly.evaluate_at_q_power, row, roots) for row in rows))
+    values = _root_values(w.components, -1)  # values[k][j] = u_k(q**-j)
+    return RepMatrix(n, ([values[(j - i) % n][j] for j in range(n)] for i in range(n)))
+
+
+def _root_values(polys, sign: int = 1, divisor: int = 1) -> list[list[CycScalar]]:
+    """Each x-polynomial's values at q**(sign*j), j = 0..N-1, divided by divisor; a
+    ValueError at sign -1.  Its nonzero coefficients are padded to N ints over their common
+    denominator; in Z[t]/(t**N - 1), which Phi_N divides, q**e acts as the rotation by e, a
+    slice of the vector written twice.  Each value is a sum of rotations, folded once by ``_reduce``.
+    """
+    out = []
+    for u in polys:
+        if u.sign < 0:
+            raise ValueError("evaluation at q**j needs x**N = 1")
+        n, terms = u.order, [(l, c) for l, c in enumerate(u.coeffs) if c]
+        den = math.lcm(*(c.den for _, c in terms))
+        pad = [0] * (n - len(u.coeffs[0].num))
+        twice = [(-sign * l, 2 * [*map((den // c.den).__mul__, c.num), *pad]) for l, c in terms]
+        row = [CycScalar.zero(n)] * n  # a zero polynomial's values
+        for j in range(n if terms else 0):
+            rotated = [v[k * j % n : k * j % n + n] for k, v in twice]
+            row[j] = _reduce(n, list(map(sum, zip(*rotated))), den * divisor)
+        out.append(row)
+    return out
 
 
 @functools.lru_cache(maxsize=None)

@@ -427,8 +427,52 @@ def test_non_invertible_coordinates_are_rejected():
         build_families(CARRIER, XPoly(2, (3, 0), -1))
 
 
+def _transported_inverses(fam):
+    """The transport recursion: Q_1**-1 = Delta(x)**-1, Q_(k+1)**-1 = Delta(x)**-1 phi(Q_k**-1)."""
+    c, dx_inv = fam.carrier, fam.coordinate.delta_inv
+    out = [dx_inv]
+    for _ in range(1, fam.order):
+        out.append(dx_inv * c.phi(out[-1]))
+    return tuple(out)
+
+
+def _coordinate_families(carrier, draw):
+    while True:
+        try:
+            return build_families(carrier, draw())
+        except NonInvertibleCoordinate:
+            continue
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("order", range(2, 13))
+def test_inverse_powers_from_the_norm_are_the_transported_ones(order, sign):
+    """Q_k**-1 = Q_N**-1 phi**k(Q_(N-k)) equals the transport recursion on dense
+    and on sparse coordinates, and Q_N is phi-invariant, so a constant."""
+    rng = random.Random(37 * order + sign)
+    c = XPolyCarrier(order, sign)
+
+    def scalar():
+        coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(order)]
+        return CycScalar.from_poly(order, coeffs)
+
+    def dense():
+        return XPoly(order, [scalar() for _ in range(order)], sign)
+
+    def sparse():
+        terms = (XPoly.monomial(order, rng.randrange(order), scalar(), sign) for _ in range(2))
+        return sum(terms, c.zero())
+
+    for draw in (dense, sparse):
+        fam = _coordinate_families(c, draw)
+        assert fam.dx_pow_inv == _transported_inverses(fam)
+        norm = fam.dx_pow[-1]
+        assert c.phi(norm) == norm and not any(norm.coeffs[1:])
+
+
 @pytest.mark.parametrize("order", range(2, 9))
 def test_families_invert_once(order, monkeypatch):
+    """Two carrier inversions: Delta(x), in the coordinate, and the norm Q_N."""
     calls = []
     inverse = XPoly.inverse
 
@@ -439,7 +483,7 @@ def test_families_invert_once(order, monkeypatch):
     monkeypatch.setattr(XPoly, "inverse", counted)
     fam = q_plane_families.__wrapped__(order)
     monkeypatch.undo()
-    assert calls == [fam.coordinate.delta_x]
+    assert calls == [fam.coordinate.delta_x, fam.dx_pow[-1]]
     cached = q_plane_families(order)
     for name in ("coordinate", "dkx", "dx_pow", "dx_pow_inv", "connection"):
         assert getattr(fam, name) == getattr(cached, name)

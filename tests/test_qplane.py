@@ -30,7 +30,7 @@ from qgalois import (
 )
 from qgalois.cyclotomic import _reduce, dot
 from qgalois.quaternion import QUAT_I
-from qgalois.qplane import _modulus, basis_matrices, scalar_rank
+from qgalois.qplane import _modulus, _root_values, basis_matrices, scalar_rank
 
 from samplers import rand_plane, rand_xpoly
 
@@ -266,6 +266,75 @@ def test_a_dense_plane_product_folds_once_per_output_coefficient():
     assert all(c for u in (a * b).components for c in u.coeffs)
     assert _calls(lambda: a * b, _reduce) == 49
     assert _calls(lambda: a * b, dot) == 0
+
+
+def _value_by_dot(u, e, divisor=1):
+    """u(q**e) / divisor as one sum of products over the pairs (c_l, q**(e l))."""
+    n = u.order
+    value = dot(n, [(c, CycScalar.q_power(n, e * l)) for l, c in enumerate(u.coeffs) if c])
+    return value * CycScalar.from_rational(n, Fraction(1, divisor))
+
+
+def _wide_scalar(rng, order):
+    """A scalar of full degree with 60-digit numerators over a denominator up to 6."""
+    coeffs = [Fraction(rng.randint(-10**60, 10**60), rng.randint(1, 6)) for _ in range(order)]
+    return CycScalar.from_poly(order, coeffs)
+
+
+@pytest.mark.parametrize("order", range(2, 13))
+def test_root_values_are_the_per_root_sums_of_products(order):
+    """Each value by rotation is the one ``dot`` gives, in the same canonical form,
+    on dense, wide and sparse rows, at q**j and q**-j, with and without a divisor."""
+    rng = random.Random(370 + order)
+    rows = [
+        XPoly(order, [_dense_scalar(rng, order) for _ in range(order)]),
+        XPoly(order, [_wide_scalar(rng, order) for _ in range(order)]),
+        XPoly.monomial(order, rng.randrange(order), _wide_scalar(rng, order))
+        + XPoly.monomial(order, rng.randrange(order), Fraction(-3, 2)),
+        XPoly.x(order),
+        XPoly.zero(order),
+    ]
+    for sign in (1, -1):
+        for divisor in (1, order, 6):
+            for u, values in zip(rows, _root_values(rows, sign, divisor)):
+                for j, v in enumerate(values):
+                    expected = _value_by_dot(u, sign * j, divisor)
+                    assert (v.num, v.den) == (expected.num, expected.den), (sign, divisor, j)
+    with pytest.raises(ValueError):
+        _root_values([XPoly.one(order), XPoly.one(order, -1)])
+
+
+@pytest.mark.parametrize("order", range(2, 13))
+def test_a_dense_inverse_round_trips(order):
+    rng = random.Random(371 + order)
+    for _ in range(2):
+        u = XPoly(order, [_wide_scalar(rng, order) for _ in range(order)])
+        assert u * u.inverse() == XPoly.one(order)
+
+
+def test_a_dense_represent_folds_once_per_entry():
+    """The 49 entries of a dense order-7 image are one ``_root_values`` call:
+    49 folds and no ``dot``; a constant's inverse inverts one scalar."""
+    rng = random.Random(37)
+    w = PlaneElement(7, [[_dense_scalar(rng, 7) for _ in range(7)] for _ in range(7)])
+    assert all(e for row in represent(w).entries for e in row)
+    assert _calls(lambda: represent(w), _reduce) == 49
+    assert _calls(lambda: represent(w), dot) == 0
+    constant = XPoly.from_scalar(7, _dense_scalar(rng, 7))
+    assert _calls(constant.inverse, CycScalar.inverse) == 1
+    assert constant * constant.inverse() == XPoly.one(7)
+
+
+def test_a_zero_part_of_the_right_operand_leaves_the_left_part_as_it_is():
+    """A dense order-8 extension element plus or minus one two-term form makes two
+    scalar sums and keeps every other component of the left operand as it is."""
+    rng = random.Random(38)
+    a = PlaneElement(8, [[_dense_scalar(rng, 8) for _ in range(8)] for _ in range(8)])
+    b = PlaneElement.monomial(8, 3, 1, 5) + PlaneElement.monomial(8, 3, 6, Fraction(-1, 2))
+    assert _calls(lambda: a + b, CycScalar.__add__) == _calls(lambda: a - b, CycScalar.__sub__) == 2
+    for s in (a + b, a - b):
+        assert all(s.components[k] is a.components[k] for k in range(8) if k != 3)
+    assert (a - b) + b == a and a - b == a + (-b) and b - a == -(a - b)
 
 
 def test_a_tau_commutator_makes_two_packed_products():

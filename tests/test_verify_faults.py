@@ -99,6 +99,36 @@ def _represent_at_positive_powers(original):
     return represent
 
 
+def _rotation_turned_back(original):
+    """Each value at q**(sign*j) read at q**(-sign*j): the same map at N = 2."""
+    return lambda polys, sign=1, divisor=1: original(polys, -sign, divisor)
+
+
+def _back_transform_keeps_n(original):
+    """The values are not divided by the divisor: the inverse's back transform without its 1/N."""
+    return lambda polys, sign=1, divisor=1: original(polys, sign)
+
+
+def _norm_route_one_twist_too_many(original):
+    """Q_k**-1 as Q_N**-1 phi**(k+1)(Q_{N-k}), one twist past the ordered norm's factor."""
+
+    def build_families(carrier, x):
+        fam = original(carrier, x)
+        n, (dx_inv, *_, norm_inv) = carrier.order, fam.dx_pow_inv
+        inv = (norm_inv * carrier.phi(fam.dx_pow[n - 1 - k], k + 1) for k in range(2, n))
+        dx_pow_inv = (dx_inv, *inv, norm_inv)
+        phi1 = dx_pow_inv[1] * fam.dkx[1]
+        connection = [phi1]
+        for k in range(1, n - 1):
+            step = galois.conjugation_dx(connection[-1], fam.coordinate)
+            connection.append(step + phi1 * carrier.q_element(k))
+        return calculus.PolyFamilies(
+            fam.coordinate, fam.dkx, fam.dx_pow, dx_pow_inv, tuple(connection)
+        )
+
+    return build_families
+
+
 def _twist_off_on_both_ends(original):
     """From order 4 on, off by x on operands that hold both x**0 and x**(N-1)."""
 
@@ -286,6 +316,42 @@ FAULTS = {
             "qplane.representation_relations": "345",
         },
     ),
+    "rotation_turned_back": Fault(
+        "qplane:_root_values",
+        _rotation_turned_back,
+        {
+            "qplane.representation_multiplicative": "345",
+            "qplane.representation_relations": "345",
+        },
+    ),
+    "back_transform_keeps_n": Fault(
+        "qplane:_root_values",
+        _back_transform_keeps_n,
+        {
+            "calculus.connection_closed_form": "345",
+            "calculus.covariant_matches_graded": ALL,
+            "calculus.dx_basis_round_trip": ALL,
+            "calculus.dx_power_differential": "345",
+            "calculus.higher_delta_matches_covariant": "345",
+            "calculus.higher_delta_two_routes": ALL,
+            "calculus.partial_matches_right_derivative": ALL,
+            "galois.change_of_variable_chain": ALL,
+            "galois.conjugation_multiplicative": ALL,
+            "galois.twisted_leibniz": "345",
+            "qplane.x_inverse_round_trip": ALL,
+        },
+    ),
+    "norm_route_one_twist_too_many": Fault(
+        "calculus:build_families",
+        _norm_route_one_twist_too_many,
+        {
+            "calculus.connection_closed_form": "345",
+            "calculus.covariant_matches_graded": "345",
+            "calculus.dx_basis_round_trip": "45",
+            "calculus.dx_power_differential": "345",
+            "calculus.higher_delta_matches_covariant": "345",
+        },
+    ),
     "twist_off_on_both_ends": Fault(
         "qplane:XPoly.twist",
         _twist_off_on_both_ends,
@@ -340,10 +406,10 @@ FAULTS = {
         _dot_keeps_first_denominator,
         {
             "calculus.higher_delta_derivation": "345",
-            "galois.change_of_variable_chain": "345",
+            "galois.change_of_variable_chain": "3",
             "qplane.delta_q_rules": "45",
-            "qplane.representation_multiplicative": ALL,
-            "qplane.x_inverse_round_trip": ALL,
+            "qplane.representation_multiplicative": "35",
+            "qplane.x_inverse_round_trip": "3",
         },
     ),
     "digit_width_one_bit_short": Fault(
